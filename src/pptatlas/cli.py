@@ -278,8 +278,9 @@ def cmd_search_ranks(targets, method: str = "cg", seed: int = 0,
                      tolerances: Tolerances = DEFAULT) -> StateRecord | None:
     """Search for a PPT state with the requested rank profile.
 
-    For the linearized method the budget counts restarts; for the square-sum
-    method it counts objective evaluations. Returns None on failure.
+    For "cg", the restarted block refinement, the budget counts restarts; for
+    the square-sum method it counts objective evaluations. Returns None on
+    failure.
     """
     targets = tuple(int(m) for m in targets)
     rng = np.random.default_rng(seed)
@@ -464,11 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank = sub.add_parser("search-ranks", help="search for a given rank profile")
     p_rank.add_argument("targets", type=_parse_targets, help="four ranks, e.g. 4444")
     p_rank.add_argument("--method", choices=("cg", "sq"), default="cg",
-                        help="linearized conjugate-gradient or derivative-free square-sum")
+                        help="cg: Levenberg-Marquardt refinement of the subspace-block "
+                             "residual, restarted; sq: derivative-free square-sum")
     p_rank.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
     p_rank.add_argument("--budget", type=int, default=int(_env("BUDGET", 20)),
-                        help="restarts for cg; objective evaluations for sq "
-                             "(use ~100000 there)")
+                        help="restarts of the block refinement for cg; objective "
+                             "evaluations for sq (use ~100000 there)")
     p_rank.add_argument("--out", default=_env("OUT", None))
     _add_tolerance_flags(p_rank)
 

@@ -32,6 +32,7 @@ from .qstate import (
     ptranspose_mat,
     ptranspose_stack,
     symmetrize_under_transposes,
+    transpose_spectra,
 )
 
 
@@ -140,10 +141,6 @@ def is_extremal(rho, tol: float = DEFAULT.rank_tol,
 # boundary line search and descent
 # ---------------------------------------------------------------------------
 
-def _min_transpose_eig(mat: np.ndarray) -> float:
-    return min(np.linalg.eigvalsh(pt).min() for pt in all_ptransposes(mat))
-
-
 def clean_ppt_boundary(mat: np.ndarray, floor: float = 1e-12,
                        passes: int = 4) -> np.ndarray:
     """Clip roundoff-negative kernel modes of whichever transpose is worst.
@@ -154,7 +151,7 @@ def clean_ppt_boundary(mat: np.ndarray, floor: float = 1e-12,
     """
     mat = np.asarray(mat, dtype=complex)
     for _ in range(passes):
-        minima = [float(np.linalg.eigvalsh(pt).min()) for pt in all_ptransposes(mat)]
+        minima = transpose_spectra(mat).min(axis=1)
         worst = int(np.argmin(minima))
         if minima[worst] >= -floor:
             break
@@ -179,9 +176,9 @@ def line_search_to_boundary(rho, sigma: np.ndarray,
     threshold = -0.5 * psd_tol
 
     def ppt_at(eps: float) -> bool:
-        return _min_transpose_eig(mat + eps * sig) >= threshold
+        return transpose_spectra(mat + eps * sig).min() >= threshold
 
-    if _min_transpose_eig(mat) < -psd_tol:
+    if transpose_spectra(mat).min() < -psd_tol:
         raise NotPpt("starting state is not PPT within tolerance")
     lo, hi = 0.0, 1.0
     while ppt_at(hi):
@@ -342,12 +339,13 @@ def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
             if ep.resolved and not ep.pure:
                 _merge_endpoint(mixed_pool, ep)
         if certifiable and all(ep.pure and ep.product for ep in leaves):
-            rebuilt = sum(ep.weight * ep.state.mat for ep in leaves)
+            # certify the merged endpoints that are returned, not the leaves
+            merged: list[ProbeEndpoint] = []
+            for ep in leaves:
+                _merge_endpoint(merged, ep)
+            rebuilt = sum(ep.weight * ep.state.mat for ep in merged)
             err = float(np.linalg.norm(rebuilt - root.mat))
             if err < 1e-8:
-                merged: list[ProbeEndpoint] = []
-                for ep in leaves:
-                    _merge_endpoint(merged, ep)
                 return SeparabilityProbe("separable_evidence", merged, False,
                                          trees_run, err)
 

@@ -51,6 +51,13 @@ def _form(u: np.ndarray, v: np.ndarray | None = None) -> complex:
     return u @ _EE @ v
 
 
+def _projector_coords(cols: np.ndarray) -> np.ndarray:
+    """Hermitian-basis coordinates of the projector onto each column, one row
+    per column."""
+    projs = np.einsum("ic,jc->cij", cols, cols.conj())
+    return np.einsum("kab,cba->ck", hermitian_basis(), projs).real
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -141,12 +148,8 @@ def construct_type2(t: complex) -> tuple[HermitianOperator, TypeIIParams]:
     The state is assembled three ways, from the product bases of all three
     bipartitions, and the constructor fails loudly if they disagree.
     """
-    t = _check_parameter(t)
-    x = _standard_two_vectors(t)
-    u = _type2_u(t)
-    e = np.column_stack([np.kron(x[:, i], u[:, i]) for i in range(4)])
-    f = np.column_stack([split_product(x[:, i], u[:, i]) for i in range(4)])
-    g = np.column_stack([np.kron(u[:, i], x[:, i]) for i in range(4)])
+    e, f, g = type2_product_bases(t)
+    t = complex(t)
     lambdas, norm = type2_weights(t)
     builds = [
         sum(norm * lambdas[i] * np.outer(m[:, i], m[:, i].conj()) for i in range(4))
@@ -242,11 +245,14 @@ class TypeIParams:
     t_z: complex | None = None
 
 
-def _type1_from_matrix(u: np.ndarray, guard: float = 1e-6) -> np.ndarray | None:
-    """Deterministic core of the type I construction: R^(4x4) -> rho.
+def _type1_rescaled(u: np.ndarray, guard: float = 1e-6
+                    ) -> tuple[np.ndarray, float] | None:
+    """The columns of u with the first two rescaled, and t1.
 
-    Returns None when a needed quadratic form or rescaling factor is within
-    `guard` of zero (too close to a sign-flip branch for stable derivatives).
+    t1 is the ratio of the third and fourth column forms; the first two
+    columns are rescaled so the bilinear-form conditions hold. Returns None
+    when a needed quadratic form or rescaling factor is within `guard` of
+    zero (too close to a sign-flip branch for stable derivatives).
     """
     u = np.asarray(u, dtype=float).reshape(4, 4)
     u1, u2, u3, u4 = (u[:, i].copy() for i in range(4))
@@ -254,23 +260,20 @@ def _type1_from_matrix(u: np.ndarray, guard: float = 1e-6) -> np.ndarray | None:
     if min(abs(v) for v in forms) < guard:
         return None
     t1 = forms[2] / forms[3]
-    alpha2 = -(forms[2] + t1 ** 2 * forms[3]) / forms[0]
-    if abs(alpha2) < guard:
-        return None
-    if alpha2 < 0:
-        # flipping the first two components flips the sign of the form
-        u1[0] *= -1.0
-        u1[1] *= -1.0
-        alpha2 = -alpha2
-    u1 *= np.sqrt(alpha2)
-    beta2 = -(forms[2] + forms[3]) / forms[1]
-    if abs(beta2) < guard:
-        return None
-    if beta2 < 0:
-        u2[0] *= -1.0
-        u2[1] *= -1.0
-        beta2 = -beta2
-    u2 *= np.sqrt(beta2)
+    for col, square in ((u1, -(forms[2] + t1 ** 2 * forms[3]) / forms[0]),
+                        (u2, -(forms[2] + forms[3]) / forms[1])):
+        if abs(square) < guard:
+            return None
+        if square < 0:
+            # flipping the first two components flips the sign of the form
+            col[:2] *= -1.0
+        col *= np.sqrt(abs(square))
+    return np.column_stack([u1, u2, u3, u4]), float(t1)
+
+
+def _type1_state(u_scaled: np.ndarray, t1: float) -> np.ndarray:
+    """The unit-trace type I matrix of rescaled columns and t1."""
+    u1, u2, u3, u4 = u_scaled.T
     block_a = np.outer(u1, u1) + np.outer(u3, u3) + t1 ** 2 * np.outer(u4, u4)
     block_b = -np.outer(u3, u3) + t1 * np.outer(u4, u4)
     block_c = np.outer(u2, u2) + np.outer(u3, u3) + np.outer(u4, u4)
@@ -278,29 +281,11 @@ def _type1_from_matrix(u: np.ndarray, guard: float = 1e-6) -> np.ndarray | None:
     return rho / np.trace(rho)
 
 
-def _type1_rescaled_u(u: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """The rescaled columns and t1, tracking the same branches as the core."""
-    u = np.asarray(u, dtype=float).reshape(4, 4)
-    u1, u2, u3, u4 = (u[:, i].copy() for i in range(4))
-    forms = [_form(c).real for c in (u1, u2, u3, u4)]
-    if min(abs(v) for v in forms) < 1e-6:
-        return None
-    t1 = forms[2] / forms[3]
-    alpha2 = -(forms[2] + t1 ** 2 * forms[3]) / forms[0]
-    beta2 = -(forms[2] + forms[3]) / forms[1]
-    if abs(alpha2) < 1e-6 or abs(beta2) < 1e-6:
-        return None
-    if alpha2 < 0:
-        u1[0] *= -1.0
-        u1[1] *= -1.0
-        alpha2 = -alpha2
-    if beta2 < 0:
-        u2[0] *= -1.0
-        u2[1] *= -1.0
-        beta2 = -beta2
-    u1 *= np.sqrt(alpha2)
-    u2 *= np.sqrt(beta2)
-    return np.column_stack([u1, u2, u3, u4]), float(t1)
+def _type1_from_matrix(u: np.ndarray, guard: float = 1e-6) -> np.ndarray | None:
+    """Deterministic core of the type I construction: R^(4x4) -> rho, or None
+    near a sign-flip branch (see _type1_rescaled)."""
+    rescaled = _type1_rescaled(u, guard)
+    return None if rescaled is None else _type1_state(*rescaled)
 
 
 def quadruple_parameters(rho, rng: np.random.Generator | None = None
@@ -335,18 +320,16 @@ def construct_type1(rng: np.random.Generator, max_draws: int = 200,
     stratum to classify robustly).
     """
     for _ in range(max_draws):
-        draw = rng.standard_normal((4, 4))
-        rho = _type1_from_matrix(draw)
-        if rho is None:
+        rescaled = _type1_rescaled(rng.standard_normal((4, 4)))
+        if rescaled is None:
             continue
-        state = HermitianOperator(rho)
+        u_scaled, t1 = rescaled
+        state = HermitianOperator(_type1_state(u_scaled, t1))
         profile = ppt_profile(state)
         if profile.ranks != (4, 4, 4, 4):
             continue
         if quadratic_invariant(state) <= 1e-6:
             continue
-        rescaled = _type1_rescaled_u(draw)
-        u_scaled, t1 = rescaled
         t_y = t_z = None
         if with_quadruples:
             _, t_y, t_z = quadruple_parameters(state, rng=rng)
@@ -444,14 +427,12 @@ def biseparable_triple(rho, rng: np.random.Generator | None = None,
     """
     state = rho if isinstance(rho, HermitianOperator) else HermitianOperator(rho)
     basis = SubspaceBasis.range_of(state)
-    basis_full = hermitian_basis()
-    target = mat_to_coords(state.mat, basis_full)
+    target = mat_to_coords(state.mat)
     mats, weights = [], []
     for bipartition in BIPARTITIONS:
         triples = product_vectors_in_subspace(basis, bipartition, rng=rng)
         cols = np.column_stack([tr.full / np.linalg.norm(tr.full) for tr in triples])
-        projs = np.einsum("ic,jc->cij", cols, cols.conj())
-        coords = np.einsum("kab,cba->ck", basis_full, projs).real
+        coords = _projector_coords(cols)
         w, residual, *_ = np.linalg.lstsq(coords.T, target, rcond=None)
         rebuilt = coords.T @ w
         if np.linalg.norm(rebuilt - target) > 1e-7:
@@ -520,7 +501,6 @@ class _CompatibilityResidual:
     def __init__(self, signs: np.ndarray):
         self.signs = np.asarray(signs, dtype=float)
         self.reference: dict[str, np.ndarray | None] = {bp: None for bp in BIPARTITIONS}
-        self.basis_full = hermitian_basis()
 
     def __call__(self, theta: np.ndarray, update_reference: bool = False):
         frame = (theta[:32] + 1j * theta[32:64]).reshape(DIM, 4)
@@ -536,10 +516,7 @@ class _CompatibilityResidual:
             vecs[bp] = cols
         if update_reference:
             self.reference = dict(vecs)
-        coords = {}
-        for bp in BIPARTITIONS:
-            projs = np.einsum("ic,jc->cij", vecs[bp], vecs[bp].conj())
-            coords[bp] = np.einsum("kab,cba->ck", self.basis_full, projs).real
+        coords = {bp: _projector_coords(vecs[bp]) for bp in BIPARTITIONS}
         combo = (self.signs * np.exp(logw)) @ coords["1|23"]
         combo = combo / np.linalg.norm(combo)
         residuals = []
@@ -553,7 +530,7 @@ class _CompatibilityResidual:
             barriers.append(0.5 * max(0.0, _GRAM_LOG_FLOOR - np.log10(det)))
         if np.all(self.signs > 0):
             evs = np.linalg.eigvalsh(
-                np.einsum("k,kab->ab", combo, self.basis_full)
+                np.einsum("k,kab->ab", combo, hermitian_basis())
             )
             ev4 = max(abs(float(evs[4])), 1e-300)
             barriers.append(0.5 * max(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4)))
@@ -648,13 +625,7 @@ def _dependence_singular_values(state: HermitianOperator,
                                 triple: BiseparableTriple) -> tuple[float, float]:
     """Smallest singular values of the two 64x8 dependence matrices formed by
     the unit-column projector stacks (e with f, and e with g)."""
-    basis_full = hermitian_basis()
-
-    def stack(cols: np.ndarray) -> np.ndarray:
-        projs = np.einsum("ic,jc->cij", cols, cols.conj())
-        return np.einsum("kab,cba->ck", basis_full, projs).real
-
-    ce, cf, cg = stack(triple.e), stack(triple.f), stack(triple.g)
+    ce, cf, cg = (_projector_coords(cols) for cols in (triple.e, triple.f, triple.g))
     s1 = np.linalg.svd(np.vstack([ce, cf]).T, compute_uv=False)[-1]
     s2 = np.linalg.svd(np.vstack([ce, cg]).T, compute_uv=False)[-1]
     return float(s1), float(s2)
@@ -662,8 +633,7 @@ def _dependence_singular_values(state: HermitianOperator,
 
 def construct_biseparable(rng: np.random.Generator, max_iters: int = 400,
                           isotropic_fraction: float = 1.0 / 16.0,
-                          tol: float = DEFAULT.rank_tol,
-                          confirm_rejected: bool = False) -> BiseparableConstruction:
+                          tol: float = DEFAULT.rank_tol) -> BiseparableConstruction:
     """Random rank-4444 extremal PPT state via the biseparability compatibility
     search, together with its three product decompositions.
 
@@ -675,9 +645,6 @@ def construct_biseparable(rng: np.random.Generator, max_iters: int = 400,
     vanishing-invariant (type II) solutions live. Candidates are pinned to
     the exact rank-4444 manifold before validation; outputs are extremal and
     entangled.
-
-    With confirm_rejected the mixed-sign attempts also run their (ultimately
-    discarded) search, confirming that those orientations are realizable.
     """
     attempts = 0
     sign_decisions = 0
@@ -691,8 +658,6 @@ def construct_biseparable(rng: np.random.Generator, max_iters: int = 400,
         start = isotropic_subspace(rng).psi if use_isotropic else None
         sign_decisions += 1
         if not np.all(signs > 0):
-            if confirm_rejected:
-                compatible_subspace_search(rng, signs, start_frame=start)
             continue
         sign_accepted += 1
         payload, f = compatible_subspace_search(rng, signs, start_frame=start)

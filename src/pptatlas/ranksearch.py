@@ -5,8 +5,8 @@ matrices. The residual mu(x) collects the 8-m_i lowest eigenvalues of each
 partial transpose; rho(x) has the requested profile exactly when mu(x) = 0,
 and positivity of the retained spectrum is then automatic because the zeroed
 eigenvalues are the lowest ones. Two solvers are provided: a derivative-free
-square-sum minimizer and a linearized Gauss-Newton iteration whose normal
-equations are solved by conjugate gradients.
+square-sum minimizer and a Levenberg-damped Gauss-Newton refinement of the
+subspace-block residual (the CLI's `--method cg`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, NotAState
 from .qstate import (
     DIM,
     HermitianOperator,
@@ -25,6 +25,7 @@ from .qstate import (
     ppt_profile,
     ptranspose_mat,
     ptranspose_stack,
+    transpose_spectra,
 )
 
 
@@ -65,17 +66,8 @@ class RankTargetProblem:
 
 def eigen_residual(problem: RankTargetProblem, x: np.ndarray) -> np.ndarray:
     """The 8-m_i lowest eigenvalues of each partial transpose, concatenated."""
-    mat = problem.rho_mat(x)
-    pieces = []
-    for i in range(4):
-        n_zero = DIM - problem.targets[i]
-        if n_zero == 0:
-            continue
-        evs = np.linalg.eigvalsh(ptranspose_mat(mat, i))
-        pieces.append(evs[:n_zero])
-    if not pieces:
-        return np.zeros(0)
-    return np.concatenate(pieces)
+    spectra = transpose_spectra(problem.rho_mat(x))
+    return np.concatenate([evs[:DIM - m] for evs, m in zip(spectra, problem.targets)])
 
 
 def objective(problem: RankTargetProblem, x: np.ndarray) -> float:
@@ -116,42 +108,6 @@ def jacobian(problem: RankTargetProblem, x: np.ndarray,
     return JacobianResult(matrix, degenerate, float(min_gap))
 
 
-def cg_step(problem: RankTargetProblem, x: np.ndarray,
-            rtol: float = 1e-12, max_iter: int = 64) -> np.ndarray:
-    """Gauss-Newton step solving B^T B dx = -B^T mu by conjugate gradients.
-
-    The normal matrix is usually singular; starting from zero keeps the
-    iterates in its range, so the singular directions are never excited.
-    """
-    mu = eigen_residual(problem, x)
-    if mu.size == 0:
-        return np.zeros(problem.n_parameters)
-    b_mat = jacobian(problem, x).matrix
-    a_mat = b_mat.T @ b_mat
-    b = -b_mat.T @ mu
-    norm_b = np.linalg.norm(b)
-    dx = np.zeros_like(b)
-    if norm_b == 0.0:
-        return dx
-    r = b.copy()
-    d = r.copy()
-    rs = float(r @ r)
-    for _ in range(max_iter):
-        if np.sqrt(rs) <= rtol * norm_b:
-            break
-        ad = a_mat @ d
-        dad = float(d @ ad)
-        if dad <= 0.0:
-            break
-        alpha = rs / dad
-        dx += alpha * d
-        r -= alpha * ad
-        rs_new = float(r @ r)
-        d = r + (rs_new / rs) * d
-        rs = rs_new
-    return dx
-
-
 @dataclass
 class RankSearchResult:
     state: HermitianOperator | None
@@ -179,12 +135,19 @@ def _random_start(problem: RankTargetProblem, rng: np.random.Generator) -> np.nd
 
 def _validate(problem: RankTargetProblem, x: np.ndarray,
               tol: float, psd_tol: float):
-    """Profile check after convergence; accepts exact targets or a dominated profile."""
+    """Profile check after convergence; accepts exact targets or a dominated profile.
+
+    A point whose rho is itself indefinite, or traceless, fails like any other
+    non-PPT point.
+    """
     state = problem.rho(x)
     if state.trace() < 0:
         state = HermitianOperator(-state.mat)
-    state = state.normalized()
-    profile = ppt_profile(state, tol, psd_tol)
+    try:
+        state = state.normalized()
+        profile = ppt_profile(state, tol, psd_tol)
+    except NotAState:
+        return None, None
     if not profile.is_ppt:
         return None, None
     dominated = all(r <= m for r, m in zip(profile.ranks, problem.targets))
@@ -267,39 +230,6 @@ def refine_block(problem: RankTargetProblem, x0: np.ndarray,
                 accepted = True
                 break
             lam *= 7.0
-        if not accepted:
-            break
-    return x, f, evals
-
-
-def refine_cg(problem: RankTargetProblem, x0: np.ndarray,
-              max_iters: int = 200, f_target: float = 1e-18,
-              max_halvings: int = 30) -> tuple[np.ndarray, float, int]:
-    """Damped Gauss-Newton iteration from x0; returns (x, f, evaluations)."""
-    x = x0 / np.linalg.norm(problem.rho_mat(x0))
-    f = objective(problem, x)
-    evals = 1
-    for _ in range(max_iters):
-        if f < f_target:
-            break
-        dx = cg_step(problem, x)
-        if not np.all(np.isfinite(dx)):
-            break
-        alpha = 1.0
-        accepted = False
-        for _ in range(max_halvings):
-            xt = x + alpha * dx
-            nrm = np.linalg.norm(problem.rho_mat(xt))
-            if nrm < 1e-300:
-                break
-            xt = xt / nrm
-            ft = objective(problem, xt)
-            evals += 1
-            if ft < f:
-                x, f = xt, ft
-                accepted = True
-                break
-            alpha *= 0.5
         if not accepted:
             break
     return x, f, evals
@@ -397,13 +327,11 @@ __all__ = [
     "JacobianResult",
     "RankSearchResult",
     "RankTargetProblem",
-    "cg_step",
     "eigen_residual",
     "jacobian",
     "minimize_sq",
     "objective",
     "refine_block",
-    "refine_cg",
     "solve_targets",
     "symmetric_subspace_problem",
 ]

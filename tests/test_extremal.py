@@ -5,7 +5,7 @@ from pptatlas import extremal as ex
 from pptatlas import qstate as qs
 from pptatlas.errors import BadArity, NotPpt
 
-from conftest import ghz_vector, random_separable
+from conftest import ghz_vector, random_separable, random_unit
 
 
 class TestFaceOperators:
@@ -127,6 +127,26 @@ class TestSeparabilityProbe:
     def test_mixture_of_three_products_separable(self, rng):
         probe = ex.separability_probe(random_separable(rng, 3), rng)
         assert probe.verdict == "separable_evidence"
+
+    def test_certificate_covers_returned_endpoints(self):
+        """The reported error is that of the merged endpoints returned: on
+        this mixture a tree whose leaves rebuild it to 1e-9 merges into
+        endpoints that rebuild it only to ~6e-8, and must not certify."""
+        rng = np.random.default_rng([211, 3, 99])
+        weights = rng.random(3) + 0.2
+        weights /= weights.sum()
+        mat = np.zeros((8, 8), dtype=complex)
+        for w in weights:
+            x, y, z = (random_unit(rng, 2) for _ in range(3))
+            v = qs.kron3(x, y, z)
+            mat += w * np.outer(v, v.conj())
+        mat = mat / np.trace(mat).real
+        probe = ex.separability_probe(qs.HermitianOperator(mat), rng, n_trials=4)
+        assert probe.verdict == "separable_evidence"
+        rebuilt = sum(ep.weight * ep.state.mat for ep in probe.endpoints)
+        err = np.linalg.norm(rebuilt - mat)
+        assert err <= 1.01 * probe.reconstruction_error
+        assert err < 1e-8
 
     def test_extremal_mixed_state_entangled_immediately(self):
         from pptatlas.rank4 import construct_type2

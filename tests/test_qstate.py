@@ -54,6 +54,19 @@ class TestPartialTranspose:
                 assert np.array_equal(qs.ptranspose_mat(mat, k),
                                       reference_partial_transpose(mat, k))
 
+    def test_transpose_spectra_matches_reference(self, rng):
+        """The stacked spectra agree with eigvalsh of the reference transposes
+        and are bit-equal to eigvalsh called on each transpose separately."""
+        for _ in range(10):
+            for mat in (qs.random_density(rng).mat, qs.random_hermitian(rng).mat):
+                spectra = qs.transpose_spectra(mat)
+                assert spectra.shape == (4, 8)
+                for k in range(4):
+                    ref = mat if k == 0 else reference_partial_transpose(mat, k)
+                    assert np.abs(spectra[k] - np.linalg.eigvalsh(ref)).max() < 1e-12
+                    assert np.array_equal(spectra[k],
+                                          np.linalg.eigvalsh(qs.ptranspose_mat(mat, k)))
+
     def test_diagonal_fixed(self, rng):
         diag = np.diag(rng.standard_normal(8))
         for k in (1, 2, 3):
@@ -182,6 +195,21 @@ class TestPptProfile:
         profile = qs.ppt_profile(np.eye(8) / 8)
         assert profile.key == "8888"
         assert profile.sorted_ranks == (8, 8, 8, 8)
+
+    def test_matches_per_transpose_loop(self, rng):
+        """Ranks, margins and minima equal a loop over the reference transposes
+        of a low-rank state, whose cut discards eigenvalues."""
+        psi = sum(qs.projector(random_product_vector(rng)).mat for _ in range(3))
+        for mat in (psi / np.trace(psi).real, qs.random_density(rng).mat):
+            profile = qs.ppt_profile(mat)
+            for k in range(4):
+                pt = mat if k == 0 else reference_partial_transpose(mat, k)
+                evs = np.linalg.eigvalsh(pt)
+                kept = np.abs(evs) > profile.tolerance * np.abs(evs).max()
+                dropped = np.abs(evs)[~kept]
+                assert profile.ranks[k] == np.count_nonzero(kept)
+                assert profile.margins[k] == (dropped.max() if dropped.size else 0.0)
+                assert profile.min_eigenvalues[k] == evs.min()
 
     def test_rejects_non_state(self, rng):
         with pytest.raises(NotAState):

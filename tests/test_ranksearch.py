@@ -73,37 +73,6 @@ class TestJacobian:
         assert rs.jacobian(problem, x).degenerate
 
 
-class TestCgStep:
-    def test_zero_residual_gives_zero_step(self):
-        problem = rs.RankTargetProblem((8, 8, 8, 8))
-        x = np.zeros(64)
-        x[0] = 1.0
-        assert np.array_equal(rs.cg_step(problem, x), np.zeros(64))
-
-    def test_matches_least_squares_solution(self, rng):
-        problem = rs.RankTargetProblem((6, 6, 6, 6))
-        x = rs._random_start(problem, rng)
-        mu = rs.eigen_residual(problem, x)
-        b_mat = rs.jacobian(problem, x).matrix
-        expected = np.linalg.lstsq(b_mat, -mu, rcond=None)[0]
-        assert np.abs(rs.cg_step(problem, x) - expected).max() < 1e-9
-
-    def test_iterated_cg_converges_for_6666(self):
-        """Iterated linearized steps with halving, from a random positive
-        start, reach the target profile in the majority of seeded runs."""
-        wins = 0
-        for seed in range(8):
-            problem = rs.RankTargetProblem((6, 6, 6, 6))
-            rng = np.random.default_rng(900 + seed)
-            g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            x0 = np.einsum("kab,ba->k", problem.basis, g @ g.conj().T).real
-            x0 /= np.linalg.norm(problem.rho_mat(x0))
-            x, _, _ = rs.refine_cg(problem, x0, max_iters=200, f_target=1e-20)
-            if np.linalg.norm(rs.eigen_residual(problem, x)) < 1e-10:
-                wins += 1
-        assert wins >= 5
-
-
 class TestSolvers:
     @pytest.mark.parametrize("targets", [(5, 5, 5, 5), (6, 6, 6, 6), (7, 7, 7, 7),
                                          (4, 4, 4, 4), (8, 8, 8, 8)])
@@ -121,6 +90,18 @@ class TestSolvers:
         result = rs.solve_targets(problem, np.random.default_rng(17), restarts=12,
                                   require_exact=True)
         assert not result.success
+
+    def test_indefinite_restart_does_not_abort(self):
+        """m0 = 8 leaves rho's own spectrum free, so a restart can converge to
+        an indefinite rho; that restart fails and the search moves on."""
+        problem = rs.RankTargetProblem((8, 5, 5, 5))
+        result = rs.solve_targets(problem, np.random.default_rng(0), restarts=10,
+                                  require_exact=True)
+        if result.success:
+            assert result.profile.is_ppt
+            assert all(r <= t for r, t in zip(result.profile.ranks, problem.targets))
+        else:
+            assert result.attempts == 10
 
     def test_minimize_sq_finds_easy_target(self, rng):
         problem = rs.RankTargetProblem((7, 7, 7, 7))
