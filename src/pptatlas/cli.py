@@ -25,7 +25,7 @@ from .errors import BudgetExhausted, InvalidParameter, PptAtlasError
 from .extremal import descend_to_extremal, is_extremal, rank_square_bound, separability_probe
 from .invariants import InvariantFingerprint, fingerprint
 from .prodvec import upb_standard, upb_state
-from .qstate import HermitianOperator, PptProfile, ppt_profile, random_ppt_state
+from .qstate import PPT_INTERIOR, HermitianOperator, PptProfile, ppt_profile, random_ppt_state
 from .rank4 import classify_type, construct_type1, construct_type2
 from .ranksearch import RankTargetProblem, minimize_sq, solve_targets
 
@@ -245,19 +245,19 @@ class CensusReport:
 # ---------------------------------------------------------------------------
 
 def cmd_search_extremal(seed: int, n_runs: int, out_dir: str | Path | None = None,
-                        tolerances: Tolerances = DEFAULT,
-                        interior: float = 0.95) -> tuple[list[StateRecord], CensusReport]:
+                        tolerances: Tolerances = DEFAULT
+                        ) -> tuple[list[StateRecord], CensusReport]:
     """Seeded extremal-descent campaign from random PPT starts."""
     records = []
     for run, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         rng = np.random.default_rng(child)
-        start = random_ppt_state(rng, interior=interior)
+        start = random_ppt_state(rng)
         endpoint = descend_to_extremal(start, rng, tol=tolerances.rank_tol,
                                        psd_tol=tolerances.psd_tol,
                                        window=tolerances.face_eig_window)
         record = annotate_state(endpoint, {
             "method": "search-extremal",
-            "parameters": {"interior": interior},
+            "parameters": {"interior": PPT_INTERIOR},
             "seed": int(seed),
             "run_index": run,
         }, tolerances)

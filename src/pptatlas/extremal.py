@@ -204,19 +204,25 @@ def _random_direction(space: FaceSolutionSpace, rng: np.random.Generator) -> np.
     return sigma / np.linalg.norm(sigma)
 
 
+_MAX_DESCENT_STEPS = 100
+_MAX_DIRECTION_RETRIES = 12
+
+
 def descend_to_extremal(rho, rng: np.random.Generator,
                         tol: float = DEFAULT.rank_tol,
                         psd_tol: float = DEFAULT.psd_tol,
-                        window: float = DEFAULT.face_eig_window,
-                        max_steps: int = 100,
-                        max_retries: int = 12) -> HermitianOperator:
+                        window: float = DEFAULT.face_eig_window) -> HermitianOperator:
     """Repeated boundary line searches along random face directions until the
-    face dimension reaches zero; returns the extremal endpoint."""
+    face dimension reaches zero; returns the extremal endpoint.
+
+    Each step tries up to _MAX_DIRECTION_RETRIES directions for one that
+    lowers the face dimension; raises MaxIterations when none does, or after
+    _MAX_DESCENT_STEPS steps."""
     space = face_solution_space(rho, tol, psd_tol, window)
-    for _ in range(max_steps):
+    for _ in range(_MAX_DESCENT_STEPS):
         if space.dimension == 0:
             return space.state
-        for _ in range(max_retries):
+        for _ in range(_MAX_DIRECTION_RETRIES):
             sigma = _random_direction(space, rng)
             eps, candidate = line_search_to_boundary(space.state, sigma, psd_tol)
             if eps <= 1e-9:
@@ -227,9 +233,10 @@ def descend_to_extremal(rho, rng: np.random.Generator,
                 break
         else:
             raise MaxIterations(
-                f"face dimension stuck at {space.dimension} after {max_retries} directions"
+                f"face dimension stuck at {space.dimension} after "
+                f"{_MAX_DIRECTION_RETRIES} directions"
             )
-    raise MaxIterations(f"no extremal point within {max_steps} descent steps")
+    raise MaxIterations(f"no extremal point within {_MAX_DESCENT_STEPS} descent steps")
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +270,9 @@ class SeparabilityProbe:
     reconstruction_error: float | None = None
 
 
-def _merge_endpoint(pool: list[ProbeEndpoint], ep: ProbeEndpoint,
-                    match_tol: float = 1e-6) -> None:
+def _merge_endpoint(pool: list[ProbeEndpoint], ep: ProbeEndpoint) -> None:
     for known in pool:
-        if np.linalg.norm(known.state.mat - ep.state.mat) < match_tol:
+        if np.linalg.norm(known.state.mat - ep.state.mat) < 1e-6:
             known.weight += ep.weight
             return
     pool.append(ep)
@@ -283,12 +289,12 @@ def _endpoint(state: HermitianOperator, weight: float, profile: PptProfile,
 
 
 def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
-                       max_depth: int = 8,
                        tol: float = DEFAULT.rank_tol,
                        psd_tol: float = DEFAULT.psd_tol,
                        window: float = DEFAULT.face_eig_window) -> SeparabilityProbe:
     """Walk to both face boundary points along random directions, recursing on
-    the endpoints, and classify the state by the extremal states collected."""
+    the endpoints to depth 8, and classify the state by the extremal states
+    collected."""
     root = HermitianOperator(_as_matrix(rho)).normalized()
     root_space = face_solution_space(root, tol, psd_tol, window)
     if root_space.dimension == 0:
@@ -310,7 +316,7 @@ def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
             if space.dimension == 0:
                 leaves.append(_endpoint(space.state, weight, space.profile, True, tol))
                 continue
-            if depth >= max_depth:
+            if depth >= 8:
                 leaves.append(_endpoint(space.state, weight, space.profile, False, tol))
                 certifiable = False
                 continue
@@ -382,17 +388,15 @@ def rank_square_bound(ranks, n_parties: int = 3, total_dim: int = DIM) -> RankSq
 # completely symmetric PPT states
 # ---------------------------------------------------------------------------
 
-def symmetric_state(rng: np.random.Generator, rank: int | None = None,
-                    tol: float = DEFAULT.rank_tol,
-                    psd_tol: float = DEFAULT.psd_tol,
-                    restarts: int = 40) -> HermitianOperator:
+def symmetric_state(rng: np.random.Generator, rank: int | None = None) -> HermitianOperator:
     """PPT state symmetric under all three partial transpositions, hence real.
 
     With rank None a positive matrix is averaged with its seven partial
     transposes, which is positive with high probability (rank 8). With rank m
     the square sum of the 8-m lowest eigenvalues is minimized inside the
-    27-dimensional completely symmetric subspace; raises MinimizationFailed
-    if the objective cannot be brought below 1e-16.
+    27-dimensional completely symmetric subspace from up to 40 random
+    starts; raises MinimizationFailed if the objective cannot be brought
+    below 1e-16.
     """
     if rank is None:
         for _ in range(200):
@@ -407,7 +411,7 @@ def symmetric_state(rng: np.random.Generator, rank: int | None = None,
     from .ranksearch import RankTargetProblem, refine_block
 
     problem = RankTargetProblem((rank,) * 4, invariant_hermitian_basis((1, 2, 3)))
-    for _ in range(restarts):
+    for _ in range(40):
         start = symmetric_state(rng)  # rank-8 seed inside the subspace
         x0 = np.einsum("kab,ba->k", problem.basis, start.mat).real
         x, f, _ = refine_block(problem, x0, f_target=1e-26)
@@ -417,7 +421,7 @@ def symmetric_state(rng: np.random.Generator, rank: int | None = None,
         if state.trace() < 0:
             state = HermitianOperator(-state.mat)
         state = state.normalized()
-        profile = ppt_profile(state, tol, psd_tol)
+        profile = ppt_profile(state, DEFAULT.rank_tol, DEFAULT.psd_tol)
         if profile.is_ppt and profile.ranks == (rank,) * 4:
             # round to the exactly symmetric subspace
             return symmetrize_under_transposes(state, (1, 2, 3)).normalized()

@@ -37,6 +37,9 @@ _ROW_SPLITS = {
     "3|12": ([0, 2, 4, 6], [1, 3, 5, 7]),
 }
 
+_SUBSPACE_TOL = 1e-9
+_MAX_TRANSFORM_RETRIES = 5
+
 
 @dataclass
 class SubspaceBasis:
@@ -88,8 +91,8 @@ def _split_two_by_four(phi: np.ndarray, bipartition: str) -> np.ndarray:
     raise ValueError(f"unknown bipartition {bipartition!r}")
 
 
-def _factor_candidate(phi: np.ndarray, bipartition: str, mu: complex,
-                      split_tol: float = 1e-8) -> ProductVectorTriple | None:
+def _factor_candidate(phi: np.ndarray, bipartition: str,
+                      mu: complex) -> ProductVectorTriple | None:
     """Build a ProductVectorTriple from a pencil eigenvector image, or None if
     the vector does not factor cleanly."""
     nrm = np.linalg.norm(phi)
@@ -98,7 +101,7 @@ def _factor_candidate(phi: np.ndarray, bipartition: str, mu: complex,
     phi = phi / nrm
     m = _split_two_by_four(phi, bipartition)
     u, s, _ = np.linalg.svd(m)
-    if s[1] > split_tol * s[0]:
+    if s[1] > 1e-8 * s[0]:
         return None
     two = u[:, 0]
     mags = np.abs(two)
@@ -125,9 +128,9 @@ def _factor_candidate(phi: np.ndarray, bipartition: str, mu: complex,
     return triple
 
 
-def _same_ray(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> bool:
+def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     overlap = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return 1.0 - overlap < tol
+    return 1.0 - overlap < 1e-8
 
 
 def _mu_sort_key(triple: ProductVectorTriple):
@@ -137,8 +140,7 @@ def _mu_sort_key(triple: ProductVectorTriple):
     return (0, abs(mu), float(np.angle(mu)))
 
 
-def _solve_pencil(psi: np.ndarray, bipartition: str,
-                  subspace_tol: float) -> list[ProductVectorTriple]:
+def _solve_pencil(psi: np.ndarray, bipartition: str) -> list[ProductVectorTriple]:
     top_rows, bottom_rows = _ROW_SPLITS[bipartition]
     a_mat = psi[top_rows, :]
     b_mat = psi[bottom_rows, :]
@@ -153,7 +155,7 @@ def _solve_pencil(psi: np.ndarray, bipartition: str,
         triple = _factor_candidate(phi, bipartition, complex(w[k]))
         if triple is None:
             continue
-        if np.linalg.norm(proj @ triple.full - triple.full) > subspace_tol:
+        if np.linalg.norm(proj @ triple.full - triple.full) > _SUBSPACE_TOL:
             continue
         if any(_same_ray(triple.full, other.full) for other in found):
             continue
@@ -162,9 +164,8 @@ def _solve_pencil(psi: np.ndarray, bipartition: str,
 
 
 def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
-                                subspace_tol: float = 1e-9,
-                                rng: np.random.Generator | None = None,
-                                max_transform_retries: int = 5) -> list[ProductVectorTriple]:
+                                rng: np.random.Generator | None = None
+                                ) -> list[ProductVectorTriple]:
     """Product vectors of the given bipartition inside a 4-dim subspace.
 
     Solves the generalized eigenvalue problem of the two half-row slices; when
@@ -176,7 +177,7 @@ def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
     if bipartition not in _ROW_SPLITS:
         raise ValueError(f"bipartition must be one of {BIPARTITIONS}, got {bipartition!r}")
     psi = basis.psi
-    found = _solve_pencil(psi, bipartition, subspace_tol)
+    found = _solve_pencil(psi, bipartition)
     if len(found) == 4:
         found.sort(key=_mu_sort_key)
         return found
@@ -184,19 +185,19 @@ def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
     rng = rng if rng is not None else np.random.default_rng(0)
     proj = psi @ psi.conj().T
     best = found
-    for _ in range(max_transform_retries):
+    for _ in range(_MAX_TRANSFORM_RETRIES):
         factors = [random_unit_determinant(rng) for _ in range(3)]
         big = kron3(*factors)
         big_inv = np.linalg.inv(big)
         psi_t, _ = np.linalg.qr(big @ psi)
-        transformed = _solve_pencil(psi_t, bipartition, subspace_tol)
+        transformed = _solve_pencil(psi_t, bipartition)
         found = []
         for tr in transformed:
             phi = big_inv @ tr.full
             triple = _factor_candidate(phi, bipartition, tr.pencil_eigenvalue)
             if triple is None:
                 continue
-            if np.linalg.norm(proj @ triple.full - triple.full) > subspace_tol:
+            if np.linalg.norm(proj @ triple.full - triple.full) > _SUBSPACE_TOL:
                 continue
             if any(_same_ray(triple.full, other.full) for other in found):
                 continue
@@ -208,17 +209,15 @@ def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
             best = found
     raise DegeneratePencil(
         f"only {len(best)} product vectors found for bipartition {bipartition} "
-        f"after {max_transform_retries} random transforms"
+        f"after {_MAX_TRANSFORM_RETRIES} random transforms"
     )
 
 
-def full_product_vectors_in_subspace(basis: SubspaceBasis,
-                                     rng: np.random.Generator | None = None
-                                     ) -> list[ProductVectorTriple]:
+def full_product_vectors_in_subspace(basis: SubspaceBasis) -> list[ProductVectorTriple]:
     """The 2x2x2 product vectors in the subspace: candidates of one pencil
     that also factor completely. Generic subspaces contain none."""
     try:
-        candidates = product_vectors_in_subspace(basis, "1|23", rng=rng)
+        candidates = product_vectors_in_subspace(basis, "1|23")
     except DegeneratePencil:
         candidates = []
     return [c for c in candidates
@@ -257,18 +256,17 @@ class QuadrupleStandardForm:
         return np.array([[1, 0, 1, self.t], [0, 1, -1, 1]], dtype=complex)
 
 
-def standard_form_quadruple(x: np.ndarray,
-                            det_tol: float = 1e-10) -> QuadrupleStandardForm:
+def standard_form_quadruple(x: np.ndarray) -> QuadrupleStandardForm:
     """Reduce a generic quadruple of 2-vectors to standard form.
 
     Raises DegenerateQuadruple when some pair is (nearly) parallel, i.e. a
-    pairwise determinant of the unit-normalized columns falls below det_tol.
+    pairwise determinant of the unit-normalized columns falls below 1e-10.
     """
     x = np.asarray(x, dtype=complex).reshape(2, 4).copy()
     x /= np.linalg.norm(x, axis=0, keepdims=True)
     for i in range(4):
         for j in range(i + 1, 4):
-            if abs(_det2(x[:, i], x[:, j])) < det_tol:
+            if abs(_det2(x[:, i], x[:, j])) < 1e-10:
                 raise DegenerateQuadruple(f"columns {i+1} and {j+1} are nearly parallel")
 
     a, b = x[:, 0]
@@ -293,7 +291,7 @@ def alternative_parameters(t: complex) -> tuple[complex, complex]:
     return -1.0 - t, -1.0 - 1.0 / t
 
 
-def orthogonalizable_pairing(t: complex, imag_tol: float = 1e-9) -> tuple[str, float] | None:
+def orthogonalizable_pairing(t: complex) -> tuple[str, float] | None:
     """For an effectively real parameter, the unique pairing of the four
     vectors that a linear transformation can make real and pairwise
     orthogonal, with the positive parameter realizing it.
@@ -306,7 +304,7 @@ def orthogonalizable_pairing(t: complex, imag_tol: float = 1e-9) -> tuple[str, f
     viable = [
         (pairing, value)
         for pairing, value in candidates
-        if abs(value.imag) < imag_tol * (1.0 + abs(value)) and value.real > 0.0
+        if abs(value.imag) < 1e-9 * (1.0 + abs(value)) and value.real > 0.0
     ]
     if not viable:
         return None
@@ -329,15 +327,14 @@ def orthogonal_form(sf: QuadrupleStandardForm) -> tuple[np.ndarray, np.ndarray]:
 # unextendible product bases
 # ---------------------------------------------------------------------------
 
-def upb_standard(theta1: float, theta2: float, theta3: float,
-                 degenerate_tol: float = 1e-9) -> list[ProductVectorTriple]:
+def upb_standard(theta1: float, theta2: float, theta3: float) -> list[ProductVectorTriple]:
     """The four orthonormal product vectors of the angle-parametrized UPB.
 
     Each pair is orthogonal in exactly one slot: pairs (1,2) and (3,4) in the
     first factor, (1,3) and (2,4) in the second, (1,4) and (2,3) in the third.
     """
     angles = (theta1, theta2, theta3)
-    if any(min(abs(np.sin(th)), abs(np.cos(th))) < degenerate_tol for th in angles):
+    if any(min(abs(np.sin(th)), abs(np.cos(th))) < 1e-9 for th in angles):
         raise DegenerateAngles(f"angles {angles} make some factor pair parallel")
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
@@ -348,8 +345,7 @@ def upb_standard(theta1: float, theta2: float, theta3: float,
     return [product_vector(x[:, i], y[:, i], z[:, i]) for i in range(4)]
 
 
-def upb_state(upb: list[ProductVectorTriple],
-              ortho_tol: float = 1e-10) -> HermitianOperator:
+def upb_state(upb: list[ProductVectorTriple]) -> HermitianOperator:
     """Normalized projector onto the orthogonal complement of the UPB span:
     rho = (1 - sum psi_i psi_i^dag) / 4, a rank-4 extremal PPT state whose
     range contains no product vector."""
@@ -358,7 +354,7 @@ def upb_state(upb: list[ProductVectorTriple],
     vecs = np.column_stack([np.asarray(tr.full, dtype=complex) for tr in upb])
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     gram = vecs.conj().T @ vecs
-    if np.abs(gram - np.eye(4)).max() > ortho_tol:
+    if np.abs(gram - np.eye(4)).max() > 1e-10:
         raise NotOrthonormal(
             f"vectors are not orthonormal (max deviation {np.abs(gram - np.eye(4)).max():.2e})"
         )

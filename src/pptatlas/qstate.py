@@ -72,16 +72,6 @@ class HermitianOperator:
     def transpose(self) -> "HermitianOperator":
         return HermitianOperator(self.mat.T)
 
-    def eigvals(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return eigh_fixed_phase(self.mat)
-
-    def rank(self, tol: float = DEFAULT.rank_tol) -> int:
-        evs = np.abs(self.eigvals())
-        return int(np.count_nonzero(evs > tol * evs.max()))
-
     def __add__(self, other):
         return HermitianOperator(self.mat + _as_matrix(other))
 
@@ -308,24 +298,23 @@ def ppt_profile(rho, tol: float = DEFAULT.rank_tol,
 # local transformations
 # ---------------------------------------------------------------------------
 
-def product_transform(rho, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray,
-                      det_tol: float = 1e-12) -> HermitianOperator:
+def product_transform(rho, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray
+                      ) -> HermitianOperator:
     """Conjugate rho by V1 (x) V2 (x) V3; raises SingularFactor on singular factors."""
     factors = [np.asarray(v, dtype=complex) for v in (v1, v2, v3)]
     for k, v in enumerate(factors, start=1):
-        if abs(np.linalg.det(v)) < det_tol:
-            raise SingularFactor(f"factor {k} has |det| < {det_tol:.1e}")
+        if abs(np.linalg.det(v)) < 1e-12:
+            raise SingularFactor(f"factor {k} has |det| < 1.0e-12")
     big = kron3(*factors)
     return HermitianOperator(big @ _as_matrix(rho) @ big.conj().T)
 
 
-def random_unit_determinant(rng: np.random.Generator, entry_bound: float = 10.0,
-                            cond_bound: float = 8.0) -> np.ndarray:
+def random_unit_determinant(rng: np.random.Generator) -> np.ndarray:
     """Random 2x2 complex matrix scaled to unit determinant.
 
-    Entries and the condition number are bounded so that quantities of fourth
-    order in the transformed state stay numerically trustworthy; rejected
-    draws are redrawn.
+    Entries are bounded by 10 and the condition number by 8, so that
+    quantities of fourth order in the transformed state stay numerically
+    trustworthy; rejected draws are redrawn.
     """
     while True:
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -333,7 +322,7 @@ def random_unit_determinant(rng: np.random.Generator, entry_bound: float = 10.0,
         if abs(det) < 1e-6:
             continue
         v = g / np.sqrt(det)
-        if np.abs(v).max() <= entry_bound and np.linalg.cond(v) <= cond_bound:
+        if np.abs(v).max() <= 10.0 and np.linalg.cond(v) <= 8.0:
             return v
 
 
@@ -420,10 +409,9 @@ def mat_to_coords(mat: np.ndarray, basis: np.ndarray | None = None) -> np.ndarra
     return np.einsum("kab,ba->k", basis, np.asarray(mat)).real
 
 
-def coords_to_mat(x: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    if basis is None:
-        basis = hermitian_basis()
-    return np.einsum("k,kab->ab", np.asarray(x, dtype=float), basis)
+def coords_to_mat(x: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix with coordinates x in the standard basis."""
+    return np.einsum("k,kab->ab", np.asarray(x, dtype=float), hermitian_basis())
 
 
 def symmetrize_under_transposes(rho, transpositions: tuple[int, ...]) -> HermitianOperator:
@@ -449,9 +437,9 @@ def symmetrize_under_transposes(rho, transpositions: tuple[int, ...]) -> Hermiti
 # random states
 # ---------------------------------------------------------------------------
 
-def random_hermitian(rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(rng: np.random.Generator) -> HermitianOperator:
     g = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))
-    return HermitianOperator(scale * 0.5 * (g + g.conj().T))
+    return HermitianOperator(0.5 * (g + g.conj().T))
 
 
 def random_density(rng: np.random.Generator) -> HermitianOperator:
@@ -461,9 +449,13 @@ def random_density(rng: np.random.Generator) -> HermitianOperator:
     return HermitianOperator(m / np.trace(m).real)
 
 
-def random_ppt_state(rng: np.random.Generator, interior: float = 0.95) -> HermitianOperator:
+# random PPT states sit at this fraction of the largest PPT mixing weight
+PPT_INTERIOR = 0.95
+
+
+def random_ppt_state(rng: np.random.Generator) -> HermitianOperator:
     """Random PPT state: a Ginibre state mixed toward 1/8 until all transposes
-    are positive, backed off from the boundary by the interior factor."""
+    are positive, backed off from the boundary by the factor PPT_INTERIOR."""
     sigma = random_density(rng).mat
     eye = np.eye(DIM) / DIM
     if transpose_spectra(sigma).min() >= 0.0:
@@ -477,7 +469,7 @@ def random_ppt_state(rng: np.random.Generator, interior: float = 0.95) -> Hermit
             else:
                 hi = mid
         w_max = lo
-    w = interior * w_max
+    w = PPT_INTERIOR * w_max
     return HermitianOperator((1 - w) * eye + w * sigma)
 
 
@@ -558,6 +550,7 @@ __all__ = [
     "DIM",
     "EPSILON",
     "PAULI",
+    "PPT_INTERIOR",
     "HermitianOperator",
     "LorentzTensor",
     "PptProfile",

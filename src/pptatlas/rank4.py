@@ -45,10 +45,8 @@ from .ranksearch import RankTargetProblem, refine_block
 _EE = np.kron(EPSILON, EPSILON)
 
 
-def _form(u: np.ndarray, v: np.ndarray | None = None) -> complex:
-    if v is None:
-        v = u
-    return u @ _EE @ v
+def _form(u: np.ndarray) -> complex:
+    return u @ _EE @ u
 
 
 def _projector_coords(cols: np.ndarray) -> np.ndarray:
@@ -232,17 +230,11 @@ def type2_pt_witness(t: complex, signs: tuple[int, int] = (1, 1)
 
 @dataclass(frozen=True)
 class TypeIParams:
-    """Rescaled column matrix u and the standard-form parameters.
-
-    t1 belongs to the first-factor quadruple fixed by the construction; t_y
-    and t_z are the parameters of the second- and third-factor quadruples
-    extracted from the state's range (real for this family).
-    """
+    """Rescaled column matrix u and the standard-form parameter t1 of the
+    first-factor quadruple fixed by the construction."""
 
     u: np.ndarray
     t1: float
-    t_y: complex | None = None
-    t_z: complex | None = None
 
 
 def _type1_rescaled(u: np.ndarray, guard: float = 1e-6
@@ -305,9 +297,10 @@ def quadruple_parameters(rho, rng: np.random.Generator | None = None
     return tuple(params)
 
 
-def construct_type1(rng: np.random.Generator, max_draws: int = 200,
-                    with_quadruples: bool = False
-                    ) -> tuple[HermitianOperator, TypeIParams]:
+_TYPE1_MAX_DRAWS = 200
+
+
+def construct_type1(rng: np.random.Generator) -> tuple[HermitianOperator, TypeIParams]:
     """Random member of the real completely-symmetric rank-4444 family.
 
     A random real 4x4 matrix of columns is adjusted so the three bilinear-form
@@ -317,9 +310,9 @@ def construct_type1(rng: np.random.Generator, max_draws: int = 200,
     real, equal to all its partial transposes, PSD of rank 4, and extremal.
     Draws whose quadratic invariant falls below 1e-6 of the squared trace are
     redrawn as degenerate (they sit too close to the vanishing-invariant
-    stratum to classify robustly).
+    stratum to classify robustly). Raises DegenerateDraw after 200 draws.
     """
-    for _ in range(max_draws):
+    for _ in range(_TYPE1_MAX_DRAWS):
         rescaled = _type1_rescaled(rng.standard_normal((4, 4)))
         if rescaled is None:
             continue
@@ -330,11 +323,8 @@ def construct_type1(rng: np.random.Generator, max_draws: int = 200,
             continue
         if quadratic_invariant(state) <= 1e-6:
             continue
-        t_y = t_z = None
-        if with_quadruples:
-            _, t_y, t_z = quadruple_parameters(state, rng=rng)
-        return state, TypeIParams(u=u_scaled, t1=t1, t_y=t_y, t_z=t_z)
-    raise DegenerateDraw(f"no usable draw within {max_draws} tries")
+        return state, TypeIParams(u=u_scaled, t1=t1)
+    raise DegenerateDraw(f"no usable draw within {_TYPE1_MAX_DRAWS} tries")
 
 
 def _sl_orbit_tangents(rho: np.ndarray) -> np.ndarray:
@@ -418,12 +408,11 @@ class BiseparableTriple:
         return max(float(np.abs(builds[0] - b).max()) for b in builds[1:])
 
 
-def biseparable_triple(rho, rng: np.random.Generator | None = None,
-                       weight_tol: float = 1e-8) -> BiseparableTriple:
+def biseparable_triple(rho, rng: np.random.Generator | None = None) -> BiseparableTriple:
     """Extract the three biseparable decompositions of a rank-4444 PPT state.
 
     The product vectors of each bipartition are found in the range and the
-    weights by least squares; all twelve weights must come out positive.
+    weights by least squares; all twelve weights must come out at least 1e-8.
     """
     state = rho if isinstance(rho, HermitianOperator) else HermitianOperator(rho)
     basis = SubspaceBasis.range_of(state)
@@ -440,7 +429,7 @@ def biseparable_triple(rho, rng: np.random.Generator | None = None,
                 f"bipartition {bipartition}: state is not a combination of its "
                 "four range product vectors"
             )
-        if w.min() < weight_tol:
+        if w.min() < 1e-8:
             raise ConstructionError(
                 f"bipartition {bipartition}: weights are not all positive ({w})"
             )
@@ -483,6 +472,8 @@ def _match_columns(new: np.ndarray, ref: np.ndarray | None) -> np.ndarray:
 
 
 _WEIGHT_CAP = 1.5          # log-weight bound; blocks weight-collapse cheats
+_SEARCH_F_TARGET = 3e-8    # residual square sum of a converged compatibility search
+_CONSTRUCTION_MAX_ATTEMPTS = 400
 _GRAM_LOG_FLOOR = -3.0     # barrier floor for the product-basis Gram determinant
 _RANK_FLOOR = 3e-3         # barrier floor for the 4th eigenvalue of the candidate
 
@@ -540,10 +531,10 @@ class _CompatibilityResidual:
 
 def compatible_subspace_search(rng: np.random.Generator, signs,
                                start_frame: np.ndarray | None = None,
-                               f_target: float = 3e-8, max_iters: int = 30,
                                inner_restarts: int = 2):
     """Levenberg-damped search for a subspace compatible with the given sign
-    pattern; returns (payload, f) with f below f_target on success."""
+    pattern, at most 30 iterations per restart; returns (payload, f) with f
+    below _SEARCH_F_TARGET on success."""
     best_payload, best_f = None, np.inf
     for restart in range(inner_restarts):
         residual = _CompatibilityResidual(np.asarray(signs))
@@ -559,8 +550,8 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
         r, payload = out
         f = float(r @ r)
         damping = 1e-6
-        for _ in range(max_iters):
-            if f < f_target:
+        for _ in range(30):
+            if f < _SEARCH_F_TARGET:
                 break
             n = theta.size
             jac = np.zeros((r.size, n))
@@ -599,7 +590,7 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
                 break
         if f < best_f:
             best_payload, best_f = payload, f
-        if best_f < f_target:
+        if best_f < _SEARCH_F_TARGET:
             break
     return best_payload, best_f
 
@@ -631,37 +622,35 @@ def _dependence_singular_values(state: HermitianOperator,
     return float(s1), float(s2)
 
 
-def construct_biseparable(rng: np.random.Generator, max_iters: int = 400,
-                          isotropic_fraction: float = 1.0 / 16.0,
-                          tol: float = DEFAULT.rank_tol) -> BiseparableConstruction:
+def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
     """Random rank-4444 extremal PPT state via the biseparability compatibility
     search, together with its three product decompositions.
 
     Each attempt draws a sign pattern for the four weights of the first
     decomposition; only the all-equal pattern can give a positive
     semidefinite state, so one attempt in eight survives the sign gate
-    (sign_accepted / sign_decisions tracks the rate). A small fraction of
-    attempts starts from a random isotropic subspace, which is where the
+    (sign_accepted / sign_decisions tracks the rate). One attempt in 16
+    starts from a random isotropic subspace, which is where the
     vanishing-invariant (type II) solutions live. Candidates are pinned to
     the exact rank-4444 manifold before validation; outputs are extremal and
-    entangled.
+    entangled. Raises MaxIterations after 400 attempts.
     """
     attempts = 0
     sign_decisions = 0
     sign_accepted = 0
     problem = RankTargetProblem((4, 4, 4, 4))
-    for _ in range(max_iters):
+    for _ in range(_CONSTRUCTION_MAX_ATTEMPTS):
         attempts += 1
         raw = rng.integers(0, 2, size=4) * 2 - 1
         signs = raw if raw[0] > 0 else -raw
-        use_isotropic = bool(rng.random() < isotropic_fraction)
+        use_isotropic = bool(rng.random() < 1.0 / 16.0)
         start = isotropic_subspace(rng).psi if use_isotropic else None
         sign_decisions += 1
         if not np.all(signs > 0):
             continue
         sign_accepted += 1
         payload, f = compatible_subspace_search(rng, signs, start_frame=start)
-        if payload is None or f > 3e-8:
+        if payload is None or f > _SEARCH_F_TARGET:
             continue
         psi, logw, pe, pf, pg = payload
         weights = np.exp(logw)
@@ -679,7 +668,7 @@ def construct_biseparable(rng: np.random.Generator, max_iters: int = 400,
         state = state.normalized()
         if np.linalg.norm(state.mat - candidate.mat) > 1e-2:
             continue
-        profile = ppt_profile(state, tol)
+        profile = ppt_profile(state)
         if not profile.is_ppt or profile.ranks != (4, 4, 4, 4):
             continue
         if not is_extremal(state).extremal:
@@ -702,7 +691,8 @@ def construct_biseparable(rng: np.random.Generator, max_iters: int = 400,
             classification=classification,
             singular_values=(s1, s2),
         )
-    raise MaxIterations(f"no accepted construction within {max_iters} attempts")
+    raise MaxIterations(
+        f"no accepted construction within {_CONSTRUCTION_MAX_ATTEMPTS} attempts")
 
 
 __all__ = [

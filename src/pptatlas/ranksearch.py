@@ -81,12 +81,11 @@ class JacobianResult(NamedTuple):
     min_gap: float
 
 
-def jacobian(problem: RankTargetProblem, x: np.ndarray,
-             gap_tol: float = 1e-6) -> JacobianResult:
+def jacobian(problem: RankTargetProblem, x: np.ndarray) -> JacobianResult:
     """First-order perturbation Jacobian d mu_k / d x_j = psi_k^dag M_j^Ti psi_k.
 
     Based on nondegenerate perturbation theory; when two eigenvalues around
-    the rank cut are closer than gap_tol the rows are unreliable and the
+    the rank cut are closer than 1e-6 the rows are unreliable and the
     `degenerate` flag is set (not fatal, the iteration tolerates it).
     """
     mat = problem.rho_mat(x)
@@ -104,7 +103,7 @@ def jacobian(problem: RankTargetProblem, x: np.ndarray,
         if gaps.size:
             min_gap = min(min_gap, float(gaps.min()))
     matrix = np.vstack(rows) if rows else np.zeros((0, problem.n_parameters))
-    degenerate = bool(min_gap < gap_tol)
+    degenerate = bool(min_gap < 1e-6)
     return JacobianResult(matrix, degenerate, float(min_gap))
 
 
@@ -193,8 +192,14 @@ def _block_residual_jacobian(problem: RankTargetProblem, x: np.ndarray
     return np.array(res), np.array(rows)
 
 
+# eigenvalue square sum at which a search counts as converged, and the one
+# a converged point is polished to
+_F_TARGET = 1e-18
+_POLISH_TARGET = 1e-26
+
+
 def refine_block(problem: RankTargetProblem, x0: np.ndarray,
-                 max_iters: int = 120, f_target: float = 1e-18
+                 max_iters: int = 120, f_target: float = _F_TARGET
                  ) -> tuple[np.ndarray, float, int]:
     """Levenberg-damped Gauss-Newton on the subspace-block residual.
 
@@ -236,9 +241,7 @@ def refine_block(problem: RankTargetProblem, x0: np.ndarray,
 
 
 def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
-                  restarts: int = 20, max_iters: int = 120,
-                  f_target: float = 1e-18,
-                  polish_target: float = 1e-26,
+                  restarts: int = 20,
                   tol: float = DEFAULT.rank_tol,
                   psd_tol: float = DEFAULT.psd_tol,
                   require_exact: bool = False) -> RankSearchResult:
@@ -253,12 +256,11 @@ def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
     best_f = np.inf
     for _ in range(restarts):
         attempts += 1
-        x, f, e = refine_block(problem, _random_start(problem, rng),
-                               max_iters=max_iters, f_target=f_target)
+        x, f, e = refine_block(problem, _random_start(problem, rng))
         evals += e
         best_f = min(best_f, f)
-        if f < f_target:
-            x, f, e = refine_block(problem, x, max_iters=12, f_target=polish_target)
+        if f < _F_TARGET:
+            x, f, e = refine_block(problem, x, max_iters=12, f_target=_POLISH_TARGET)
             evals += e
             state, profile = _validate(problem, x, tol, psd_tol)
             if state is None:
@@ -270,7 +272,7 @@ def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
 
 
 def minimize_sq(problem: RankTargetProblem, rng: np.random.Generator,
-                budget: int = 200_000, f_target: float = 1e-18,
+                budget: int = 200_000,
                 tol: float = DEFAULT.rank_tol,
                 psd_tol: float = DEFAULT.psd_tol) -> RankSearchResult:
     """Derivative-free minimization of f(x) = sum mu_i(x)^2 by an adaptive
@@ -301,8 +303,8 @@ def minimize_sq(problem: RankTargetProblem, rng: np.random.Generator,
             else:
                 scale = max(scale * 0.8, 1e-10)
                 stall += 1
-            if f < f_target:
-                x, f, extra = refine_block(problem, x, max_iters=12, f_target=1e-26)
+            if f < _F_TARGET:
+                x, f, extra = refine_block(problem, x, max_iters=12, f_target=_POLISH_TARGET)
                 evals += extra
                 state, profile = _validate(problem, x, tol, psd_tol)
                 if state is not None:
