@@ -213,11 +213,9 @@ def descend_to_extremal(rho, rng: np.random.Generator,
                         psd_tol: float = DEFAULT.psd_tol,
                         window: float = DEFAULT.face_eig_window) -> HermitianOperator:
     """Repeated boundary line searches along random face directions until the
-    face dimension reaches zero; returns the extremal endpoint.
-
-    Each step tries up to _MAX_DIRECTION_RETRIES directions for one that
-    lowers the face dimension; raises MaxIterations when none does, or after
-    _MAX_DESCENT_STEPS steps."""
+    face dimension reaches zero; returns the extremal endpoint. Raises
+    MaxIterations when _MAX_DIRECTION_RETRIES directions all fail to lower
+    the face dimension, or after _MAX_DESCENT_STEPS steps."""
     space = face_solution_space(rho, tol, psd_tol, window)
     for _ in range(_MAX_DESCENT_STEPS):
         if space.dimension == 0:
@@ -250,7 +248,9 @@ class ProbeEndpoint:
     profile: PptProfile
     pure: bool
     product: bool
-    resolved: bool  # False when the recursion depth cap was hit first
+    # False when the walk stopped before a face of dimension zero, or reached
+    # one with a mixed state of rank 2 or 3
+    resolved: bool
 
 
 @dataclass
@@ -314,7 +314,12 @@ def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
         while stack:
             weight, space, depth = stack.pop()
             if space.dimension == 0:
-                leaves.append(_endpoint(space.state, weight, space.profile, True, tol))
+                # a PPT state of rank 2 or 3 is separable, so a mixed extremal
+                # leaf of that rank is a misread kernel, not entanglement
+                misread = 2 <= space.profile.ranks[0] <= 3
+                leaves.append(_endpoint(space.state, weight, space.profile,
+                                        not misread, tol))
+                certifiable = certifiable and not misread
                 continue
             if depth >= 8:
                 leaves.append(_endpoint(space.state, weight, space.profile, False, tol))

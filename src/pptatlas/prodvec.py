@@ -249,7 +249,6 @@ class QuadrupleStandardForm:
 
     t: complex
     transform: np.ndarray      # 2x2; transform @ x_i is proportional to column i
-    ordering: tuple[int, int, int, int]
 
     @property
     def standard_columns(self) -> np.ndarray:
@@ -283,7 +282,7 @@ def standard_form_quadruple(x: np.ndarray) -> QuadrupleStandardForm:
         raise DegenerateQuadruple(
             f"inconsistent parameter extraction: {t_columns} vs {t_formula}"
         )
-    return QuadrupleStandardForm(t=t_formula, transform=transform, ordering=(0, 1, 2, 3))
+    return QuadrupleStandardForm(t=t_formula, transform=transform)
 
 
 def alternative_parameters(t: complex) -> tuple[complex, complex]:

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT
-from .errors import NotAState, SingularFactor
+from .errors import DegenerateDraw, NotAState, SingularFactor
 
 DIM = 8
 N_QUBITS = 3
@@ -212,9 +212,6 @@ class LorentzTensor:
 
     coeffs: np.ndarray  # shape (4, 4, 4), real
 
-    def reconstruct(self) -> HermitianOperator:
-        return pauli_reconstruct(self)
-
 
 def pauli_decompose(a) -> LorentzTensor:
     """Coefficients a[l,m,n] = Tr(A sigma_l (x) sigma_m (x) sigma_n) / 8; real for Hermitian A."""
@@ -314,9 +311,10 @@ def random_unit_determinant(rng: np.random.Generator) -> np.ndarray:
 
     Entries are bounded by 10 and the condition number by 8, so that
     quantities of fourth order in the transformed state stay numerically
-    trustworthy; rejected draws are redrawn.
+    trustworthy; rejected draws are redrawn, and DegenerateDraw is raised
+    after 100 rejections (about one draw in eleven is rejected).
     """
-    while True:
+    for _ in range(100):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         det = np.linalg.det(g)
         if abs(det) < 1e-6:
@@ -324,6 +322,7 @@ def random_unit_determinant(rng: np.random.Generator) -> np.ndarray:
         v = g / np.sqrt(det)
         if np.abs(v).max() <= 10.0 and np.linalg.cond(v) <= 8.0:
             return v
+    raise DegenerateDraw("no bounded unit-determinant matrix in 100 draws")
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +452,23 @@ def random_density(rng: np.random.Generator) -> HermitianOperator:
 PPT_INTERIOR = 0.95
 
 
+def max_ppt_weight(sigma: np.ndarray) -> float:
+    """Largest w in [0, 1] with (1 - w) 1/8 + w sigma PPT, for unit-trace sigma.
+
+    The identity commutes with every partial transpose, so the mixture's
+    transposes have eigenvalues (1 - w)/8 + w lambda; the smallest vanishes
+    at w = 1 / (1 - 8 lambda_min).
+    """
+    lam_min = transpose_spectra(sigma).min()
+    return 1.0 if lam_min >= 0.0 else 1.0 / (1.0 - DIM * lam_min)
+
+
 def random_ppt_state(rng: np.random.Generator) -> HermitianOperator:
     """Random PPT state: a Ginibre state mixed toward 1/8 until all transposes
     are positive, backed off from the boundary by the factor PPT_INTERIOR."""
     sigma = random_density(rng).mat
-    eye = np.eye(DIM) / DIM
-    if transpose_spectra(sigma).min() >= 0.0:
-        w_max = 1.0
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if transpose_spectra((1 - mid) * eye + mid * sigma).min() >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        w_max = lo
-    w = PPT_INTERIOR * w_max
-    return HermitianOperator((1 - w) * eye + w * sigma)
+    w = PPT_INTERIOR * max_ppt_weight(sigma)
+    return HermitianOperator((1 - w) * np.eye(DIM) / DIM + w * sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +562,7 @@ __all__ = [
     "invariant_tensor_E",
     "kron3",
     "mat_to_coords",
+    "max_ppt_weight",
     "partial_transpose",
     "pauli_decompose",
     "pauli_reconstruct",

@@ -310,7 +310,8 @@ def construct_type1(rng: np.random.Generator) -> tuple[HermitianOperator, TypeIP
     real, equal to all its partial transposes, PSD of rank 4, and extremal.
     Draws whose quadratic invariant falls below 1e-6 of the squared trace are
     redrawn as degenerate (they sit too close to the vanishing-invariant
-    stratum to classify robustly). Raises DegenerateDraw after 200 draws.
+    stratum to classify robustly). Raises DegenerateDraw after
+    _TYPE1_MAX_DRAWS draws.
     """
     for _ in range(_TYPE1_MAX_DRAWS):
         rescaled = _type1_rescaled(rng.standard_normal((4, 4)))
@@ -352,29 +353,33 @@ def type1_parameter_count(rng: np.random.Generator, step: float = 1e-6,
 
     Computed as rank([construction Jacobian; orbit tangents]) minus
     rank(orbit tangents); the singular-value gap between genuine directions
-    and finite-difference noise is several orders of magnitude.
+    and finite-difference noise is several orders of magnitude. A draw near a
+    sign-flip branch is redrawn; raises DegenerateDraw after
+    _TYPE1_MAX_DRAWS draws.
     """
-    while True:
-        draw = rng.standard_normal(16)
-        if _type1_from_matrix(draw.reshape(4, 4), guard=1e-2) is not None:
-            break
-    cols = []
-    for j in range(16):
-        shift = np.zeros(16)
-        shift[j] = step
-        plus = _type1_from_matrix((draw + shift).reshape(4, 4), guard=1e-7)
-        minus = _type1_from_matrix((draw - shift).reshape(4, 4), guard=1e-7)
-        if plus is None or minus is None:
-            return type1_parameter_count(rng, step, rank_rtol)
-        cols.append(mat_to_coords((plus - minus) / (2 * step)))
-    jac = np.array(cols)
-    orbit = _sl_orbit_tangents(_type1_from_matrix(draw.reshape(4, 4)))
 
     def _rank(mat: np.ndarray) -> int:
         svs = np.linalg.svd(mat, compute_uv=False)
         return int(np.count_nonzero(svs > rank_rtol * svs[0]))
 
-    return _rank(np.vstack([jac, orbit])) - _rank(orbit)
+    for _ in range(_TYPE1_MAX_DRAWS):
+        draw = rng.standard_normal(16)
+        if _type1_from_matrix(draw.reshape(4, 4), guard=1e-2) is None:
+            continue
+        cols = []
+        for j in range(16):
+            shift = np.zeros(16)
+            shift[j] = step
+            plus = _type1_from_matrix((draw + shift).reshape(4, 4), guard=1e-7)
+            minus = _type1_from_matrix((draw - shift).reshape(4, 4), guard=1e-7)
+            if plus is None or minus is None:
+                break
+            cols.append(mat_to_coords((plus - minus) / (2 * step)))
+        else:
+            jac = np.array(cols)
+            orbit = _sl_orbit_tangents(_type1_from_matrix(draw.reshape(4, 4)))
+            return _rank(np.vstack([jac, orbit])) - _rank(orbit)
+    raise DegenerateDraw(f"no usable draw within {_TYPE1_MAX_DRAWS} tries")
 
 
 # ---------------------------------------------------------------------------

@@ -290,12 +290,13 @@ def minimize_sq(problem: RankTargetProblem, rng: np.random.Generator,
         stall = 0
         while evals < budget:
             xt = x + scale * rng.standard_normal(k)
+            # a trial counts against the budget even when its norm underflows
+            evals += 1
             nrm = np.linalg.norm(problem.rho_mat(xt))
             if nrm < 1e-300:
                 continue
             xt /= nrm
             ft = objective(problem, xt)
-            evals += 1
             if ft < f:
                 x, f = xt, ft
                 scale = min(scale * 1.4, 1.0)

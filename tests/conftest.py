@@ -55,6 +55,21 @@ def reference_partial_transpose(mat: np.ndarray, subsystem: int) -> np.ndarray:
     return out
 
 
+class ZeroRng:
+    """Generator stand-in whose normal draws are all zero. It raises after
+    `limit` calls, so an unbounded draw loop fails instead of hanging."""
+
+    def __init__(self, limit: int = 10_000) -> None:
+        self.calls = 0
+        self.limit = limit
+
+    def standard_normal(self, size=None):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise RuntimeError(f"unbounded loop: {self.limit} draws from the stub")
+        return np.zeros(size)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

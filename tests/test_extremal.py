@@ -148,6 +148,14 @@ class TestSeparabilityProbe:
         assert err <= 1.01 * probe.reconstruction_error
         assert err < 1e-8
 
+    def test_rank_two_or_three_leaf_is_not_entanglement(self):
+        """A PPT state of rank 2 or 3 is separable. On this six-product
+        mixture some probe leaves read as mixed extremal states of rank 2 or
+        3; they must not be reported as entanglement."""
+        state = random_separable(np.random.default_rng(0), 6)
+        probe = ex.separability_probe(state, np.random.default_rng(0), n_trials=4)
+        assert probe.verdict != "entangled_evidence"
+
     def test_extremal_mixed_state_entangled_immediately(self):
         from pptatlas.rank4 import construct_type2
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from pptatlas import qstate as qs
-from pptatlas.errors import NotAState, SingularFactor
+from pptatlas.errors import DegenerateDraw, NotAState, SingularFactor
 
 from conftest import (
+    ZeroRng,
     ghz_vector,
     random_product_vector,
     random_unit,
@@ -327,3 +328,49 @@ class TestProductVectors:
             profile = qs.ppt_profile(state)
             assert profile.is_ppt
             assert abs(state.trace() - 1.0) < 1e-12
+
+
+def _bisection_ppt_state(rng):
+    """random_ppt_state with the mixing weight found by 60 bisection steps,
+    as it was computed before the closed form; the reference."""
+    sigma = qs.random_density(rng).mat
+    eye = np.eye(8) / 8
+    if qs.transpose_spectra(sigma).min() >= 0.0:
+        w_max = 1.0
+    else:
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if qs.transpose_spectra((1 - mid) * eye + mid * sigma).min() >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        w_max = lo
+    w = 0.95 * w_max
+    return (1 - w) * eye + w * sigma
+
+
+class TestRandomPptState:
+    def test_matches_bisection(self):
+        for seed in range(60):
+            state = qs.random_ppt_state(np.random.default_rng(seed))
+            reference = _bisection_ppt_state(np.random.default_rng(seed))
+            assert np.abs(state.mat - reference).max() < 1e-13
+
+    def test_max_weight_reaches_the_boundary(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            sigma = qs.random_density(rng).mat
+            w = qs.max_ppt_weight(sigma)
+            assert 0.0 < w < 1.0
+            mixture = (1 - w) * np.eye(8) / 8 + w * sigma
+            assert abs(qs.transpose_spectra(mixture).min()) < 1e-14
+
+    def test_ppt_input_has_weight_one(self):
+        assert qs.max_ppt_weight(np.eye(8) / 8) == 1.0
+
+
+class TestBoundedDraws:
+    def test_unit_determinant_raises_on_degenerate_generator(self):
+        with pytest.raises(DegenerateDraw):
+            qs.random_unit_determinant(ZeroRng())

@@ -6,7 +6,9 @@ from pptatlas import invariants as inv
 from pptatlas import prodvec as pv
 from pptatlas import qstate as qs
 from pptatlas import rank4 as r4
-from pptatlas.errors import InvalidParameter, NotRank4
+from pptatlas.errors import DegenerateDraw, InvalidParameter, NotRank4
+
+from conftest import ZeroRng
 
 # allowed two-product support patterns of the u columns, one row per column
 # index, each entry a (k, l, m, n) combination
@@ -169,6 +171,10 @@ class TestTypeOne:
         counts = [r4.type1_parameter_count(np.random.default_rng(50 + k))
                   for k in range(3)]
         assert counts == [7, 7, 7]
+
+    def test_parameter_count_raises_on_degenerate_generator(self):
+        with pytest.raises(DegenerateDraw):
+            r4.type1_parameter_count(ZeroRng())
 
     def test_state_rebuilt_from_rescaled_columns(self, rng):
         state, params = r4.construct_type1(rng)

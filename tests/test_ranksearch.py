@@ -5,6 +5,8 @@ from pptatlas import qstate as qs
 from pptatlas import ranksearch as rs
 from pptatlas.errors import BudgetExhausted
 
+from conftest import ZeroRng
+
 
 class TestProblemSetup:
     def test_equation_count_formula(self):
@@ -114,6 +116,15 @@ class TestSolvers:
         problem = rs.RankTargetProblem((5, 5, 6, 8))
         with pytest.raises(BudgetExhausted):
             rs.minimize_sq(problem, rng, budget=3_000)
+
+    def test_minimize_sq_counts_underflowing_trials(self, monkeypatch):
+        """Every trial from a zero start is the zero matrix, whose norm
+        underflows; the trials still use up the budget."""
+        problem = rs.RankTargetProblem((7, 7, 7, 7))
+        monkeypatch.setattr(rs, "_random_start",
+                            lambda problem, rng: np.zeros(problem.n_parameters))
+        with pytest.raises(BudgetExhausted):
+            rs.minimize_sq(problem, ZeroRng(), budget=50)
 
     def test_dominated_profile_allowed_without_exact(self):
         problem = rs.RankTargetProblem((5, 5, 5, 5))
