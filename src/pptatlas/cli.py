@@ -142,9 +142,10 @@ def annotate_state(state: HermitianOperator, provenance: dict,
     """Compute the full annotation block of a state.
 
     With probe_trials > 0 the separability probe runs and fills the
-    `separable` field (True / False / None for inconclusive); otherwise
-    separability is only set for the decided cases (pure product or mixed
-    extremal).
+    `separable` field: True for a certified decomposition, False for entangled
+    evidence without a caveat, None otherwise (an entangled verdict with its
+    caveat set is not a decision). Without the probe, separability is only set
+    for the decided cases (pure product or mixed extremal).
     """
     state = state.normalized()
     profile = ppt_profile(state, tolerances.rank_tol, tolerances.psd_tol)
@@ -164,7 +165,9 @@ def annotate_state(state: HermitianOperator, provenance: dict,
                                    window=tolerances.face_eig_window)
         if probe.verdict == "separable_evidence":
             separable = True
-        elif probe.verdict == "entangled_evidence":
+        elif probe.verdict == "entangled_evidence" and not probe.caveat:
+            # with the caveat set the input may still be a mixture of
+            # entangled extremal states, separable or not
             separable = False
     classification = {"separable": separable, "type": rank4_type}
     provenance = dict(provenance)

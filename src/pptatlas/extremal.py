@@ -261,6 +261,12 @@ class SeparabilityProbe:
     into pure product endpoints (a numerical separability certificate);
     'entangled_evidence' means a mixed extremal endpoint was found, which for
     a nonextremal input may still be a false negative (`caveat` is then set).
+
+    The endpoints of an 'entangled_evidence' verdict on a nonextremal input
+    pool the mixed extremal leaves of all trees, merged where they coincide.
+    Each tree splits weight 1, so the pooled weights sum over the trees (to
+    the number of trees run when every leaf is mixed), not to 1: they are not
+    a decomposition of the input.
     """
 
     verdict: str

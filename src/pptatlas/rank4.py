@@ -50,10 +50,16 @@ def _form(u: np.ndarray) -> complex:
 
 
 def _projector_coords(cols: np.ndarray) -> np.ndarray:
-    """Hermitian-basis coordinates of the projector onto each column, one row
-    per column."""
-    projs = np.einsum("ic,jc->cij", cols, cols.conj())
-    return np.einsum("kab,cba->ck", hermitian_basis(), projs).real
+    """Hermitian-basis coordinates Tr(B_k P) of the projector P onto each
+    column of a stack of 8xc frames, shape (..., 8, c) -> (..., c, 64).
+
+    For a Hermitian P, Tr(B_k P) is the sum of B_k[a, b] conj(P[a, b]), so
+    the coordinates are one matmul against the flattened basis.
+    """
+    v = np.swapaxes(cols, -1, -2)
+    projs_conj = v.conj()[..., :, None] * v[..., None, :]
+    flat = projs_conj.reshape(*projs_conj.shape[:-2], DIM * DIM)
+    return (flat @ hermitian_basis().reshape(DIM * DIM, DIM * DIM).T).real
 
 
 # ---------------------------------------------------------------------------
@@ -443,37 +449,63 @@ def biseparable_triple(rho, rng: np.random.Generator | None = None) -> Biseparab
     return BiseparableTriple(mats[0], mats[1], mats[2], weights[0], weights[1], weights[2])
 
 
-def _pencil_columns(psi: np.ndarray, bipartition: str) -> np.ndarray | None:
-    """Unit-normalized pencil solution vectors, or None for a degenerate pencil."""
-    top, bottom = _ROW_SPLITS[bipartition]
-    a_mat, b_mat = psi[top, :], psi[bottom, :]
+def _pencil_eigenvectors(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray | None:
+    """Eigenvectors of a stack of 4x4 pencils (a, b), or None when any member
+    is degenerate (non-finite eigenvectors, or no eigensolver succeeds).
+
+    A stack whose solve or eig fails is solved member by member; a single
+    member whose b is singular goes to the generalized eigensolver.
+    """
     try:
         _, vr = np.linalg.eig(np.linalg.solve(b_mat, a_mat))
     except np.linalg.LinAlgError:
+        if len(a_mat) > 1:
+            parts = [_pencil_eigenvectors(a_mat[i:i + 1], b_mat[i:i + 1])
+                     for i in range(len(a_mat))]
+            if any(part is None for part in parts):
+                return None
+            return np.concatenate(parts)
         try:
-            _, vr = scipy.linalg.eig(a_mat, b_mat)
-        except Exception:
+            _, vr = scipy.linalg.eig(a_mat[0], b_mat[0])
+        except (np.linalg.LinAlgError, ValueError):
             return None
+        vr = vr[None]
     if not np.all(np.isfinite(vr)):
         return None
-    phis = psi @ vr
-    norms = np.linalg.norm(phis, axis=0)
+    return vr
+
+
+def _pencil_columns(psi: np.ndarray) -> np.ndarray | None:
+    """Unit-normalized pencil solution vectors of a stack of 8x4 frames, one
+    8x4 block per bipartition: (n, 8, 4) -> (n, 3, 8, 4). None when any
+    pencil is degenerate (see _pencil_eigenvectors, or a column norm below
+    1e-10)."""
+    rows = [_ROW_SPLITS[bp] for bp in BIPARTITIONS]
+    a_mat = np.stack([psi[:, top, :] for top, _ in rows], axis=1)
+    b_mat = np.stack([psi[:, bottom, :] for _, bottom in rows], axis=1)
+    vr = _pencil_eigenvectors(a_mat.reshape(-1, 4, 4), b_mat.reshape(-1, 4, 4))
+    if vr is None:
+        return None
+    phis = psi[:, None] @ vr.reshape(a_mat.shape)
+    norms = np.linalg.norm(phis, axis=-2)
     if norms.min() < 1e-10:
         return None
-    return phis / norms
+    return phis / norms[..., None, :]
 
 
-def _match_columns(new: np.ndarray, ref: np.ndarray | None) -> np.ndarray:
-    if ref is None:
-        return new
-    overlap = np.abs(ref.conj().T @ new)
-    order = [0, 0, 0, 0]
+def _match_columns(new: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Columns of each 8x4 block of new (..., 8, 4) reordered to follow the
+    matching block of ref, pairing the largest remaining overlaps first."""
+    overlap = np.abs(np.swapaxes(ref.conj(), -1, -2) @ new)
+    flat = overlap.reshape(-1, 4, 4)
+    rows = np.arange(len(flat))
+    order = np.zeros((len(flat), 4), dtype=int)
     for _ in range(4):
-        i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-        order[i] = j
-        overlap[i, :] = -1.0
-        overlap[:, j] = -1.0
-    return new[:, order]
+        i, j = np.divmod(flat.reshape(-1, 16).argmax(axis=1), 4)
+        order[rows, i] = j
+        flat[rows, i, :] = -1.0
+        flat[rows, :, j] = -1.0
+    return np.take_along_axis(new, order.reshape(*new.shape[:-2], 1, 4), axis=-1)
 
 
 _WEIGHT_CAP = 1.5          # log-weight bound; blocks weight-collapse cheats
@@ -481,6 +513,7 @@ _SEARCH_F_TARGET = 3e-8    # residual square sum of a converged compatibility se
 _CONSTRUCTION_MAX_ATTEMPTS = 400
 _GRAM_LOG_FLOOR = -3.0     # barrier floor for the product-basis Gram determinant
 _RANK_FLOOR = 3e-3         # barrier floor for the 4th eigenvalue of the candidate
+_JACOBIAN_STEP = 1e-7      # forward-difference step of the search Jacobian
 
 
 class _CompatibilityResidual:
@@ -489,49 +522,54 @@ class _CompatibilityResidual:
     product bases of all three bipartitions.
 
     Parameters are a raw 8x4 frame (orthonormalized by QR) plus four bounded
-    log-weights. Barrier components keep the search off the degenerate strata
-    (collapsing weights, coinciding product vectors, rank drop) whose zeros
-    would otherwise dominate.
+    log-weights, 68 reals. Barrier components keep the search off the
+    degenerate strata (collapsing weights, coinciding product vectors, rank
+    drop) whose zeros would otherwise dominate.
+
+    The residual is evaluated on a stack of parameter vectors (n, 68) at
+    once, with one stacked call per linear-algebra step; a single point is a
+    stack of one.
     """
 
     def __init__(self, signs: np.ndarray):
         self.signs = np.asarray(signs, dtype=float)
-        self.reference: dict[str, np.ndarray | None] = {bp: None for bp in BIPARTITIONS}
+        # matched pencil columns (3, 8, 4) of the last reference point
+        self.reference: np.ndarray | None = None
 
-    def __call__(self, theta: np.ndarray, update_reference: bool = False):
-        frame = (theta[:32] + 1j * theta[32:64]).reshape(DIM, 4)
-        q, _ = np.linalg.qr(frame)
-        psi = q[:, :4]
-        logw = _WEIGHT_CAP * np.tanh(theta[64:] / _WEIGHT_CAP)
-        vecs = {}
-        for bp in BIPARTITIONS:
-            cols = _pencil_columns(psi, bp)
-            if cols is None:
-                return None
-            cols = _match_columns(cols, self.reference[bp])
-            vecs[bp] = cols
+    def __call__(self, thetas: np.ndarray, update_reference: bool = False):
+        """(residuals (n, m), payload) for thetas (n, 68), or None when any
+        member of the stack is degenerate. The payload (psi, logw, e, f, g)
+        is stacked along the first axis; update_reference takes member 0's
+        columns as the reference for column matching."""
+        n = len(thetas)
+        frames = (thetas[:, :32] + 1j * thetas[:, 32:64]).reshape(n, DIM, 4)
+        psi, _ = np.linalg.qr(frames)
+        logw = _WEIGHT_CAP * np.tanh(thetas[:, 64:] / _WEIGHT_CAP)
+        vecs = _pencil_columns(psi)
+        if vecs is None:
+            return None
+        if self.reference is not None:
+            vecs = _match_columns(vecs, self.reference)
         if update_reference:
-            self.reference = dict(vecs)
-        coords = {bp: _projector_coords(vecs[bp]) for bp in BIPARTITIONS}
-        combo = (self.signs * np.exp(logw)) @ coords["1|23"]
-        combo = combo / np.linalg.norm(combo)
-        residuals = []
-        for bp in ("2|13", "3|12"):
-            qb, _ = np.linalg.qr(coords[bp].T)
-            residuals.append(combo - qb @ (qb.T @ combo))
-        barriers = []
-        for bp in BIPARTITIONS:
-            gram = vecs[bp].conj().T @ vecs[bp]
-            det = max(np.linalg.det(gram).real, 1e-300)
-            barriers.append(0.5 * max(0.0, _GRAM_LOG_FLOOR - np.log10(det)))
+            self.reference = vecs[0]
+        coords = _projector_coords(vecs)
+        combo = ((self.signs * np.exp(logw))[:, None, :] @ coords[:, 0])[:, 0]
+        combo = combo / np.linalg.norm(combo, axis=1, keepdims=True)
+        # distance of combo from the spans of the 2|13 and 3|12 projectors
+        qb, _ = np.linalg.qr(np.swapaxes(coords[:, 1:], -1, -2))
+        inside = qb @ (np.swapaxes(qb, -1, -2) @ combo[:, None, :, None])
+        residuals = (combo[:, None, :] - inside[..., 0]).reshape(n, -1)
+        gram = np.swapaxes(vecs.conj(), -1, -2) @ vecs
+        det = np.maximum(np.linalg.det(gram).real, 1e-300)
+        barriers = [0.5 * np.maximum(0.0, _GRAM_LOG_FLOOR - np.log10(det))]
         if np.all(self.signs > 0):
-            evs = np.linalg.eigvalsh(
-                np.einsum("k,kab->ab", combo, hermitian_basis())
-            )
-            ev4 = max(abs(float(evs[4])), 1e-300)
-            barriers.append(0.5 * max(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4)))
-        payload = (psi, logw, vecs["1|23"], vecs["2|13"], vecs["3|12"])
-        return np.concatenate([residuals[0], residuals[1], np.array(barriers)]), payload
+            basis = hermitian_basis().reshape(DIM * DIM, DIM * DIM)
+            mats = (combo @ basis).reshape(n, DIM, DIM)
+            ev4 = np.maximum(np.abs(np.linalg.eigvalsh(mats)[:, 4]), 1e-300)
+            rank_barrier = 0.5 * np.maximum(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4))
+            barriers.append(rank_barrier[:, None])
+        payload = (psi, logw, vecs[:, 0], vecs[:, 1], vecs[:, 2])
+        return np.concatenate([residuals, *barriers], axis=1), payload
 
 
 def compatible_subspace_search(rng: np.random.Generator, signs,
@@ -549,28 +587,22 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
             )
         else:
             theta = np.concatenate([rng.standard_normal(64), np.zeros(4)])
-        out = residual(theta, update_reference=True)
+        out = residual(theta[None], update_reference=True)
         if out is None:
             continue
-        r, payload = out
+        r, payload = out[0][0], tuple(p[0] for p in out[1])
         f = float(r @ r)
         damping = 1e-6
+        n = theta.size
         for _ in range(30):
             if f < _SEARCH_F_TARGET:
                 break
-            n = theta.size
-            jac = np.zeros((r.size, n))
-            broken = False
-            for j in range(n):
-                shift = np.zeros(n)
-                shift[j] = 1e-7
-                probe = residual(theta + shift)
-                if probe is None:
-                    broken = True
-                    break
-                jac[:, j] = (probe[0] - r) / 1e-7
-            if broken:
+            # forward differences, all probes in one stack; one degenerate
+            # probe breaks the Jacobian
+            probes = residual(theta + _JACOBIAN_STEP * np.eye(n))
+            if probes is None:
                 break
+            jac = ((probes[0] - r) / _JACOBIAN_STEP).T
             normal = jac.T @ jac
             rhs = -jac.T @ r
             accepted = False
@@ -580,12 +612,12 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
                 except np.linalg.LinAlgError:
                     damping *= 10.0
                     continue
-                probe = residual(theta + step)
-                if probe is not None and float(probe[0] @ probe[0]) < f:
+                trial = residual((theta + step)[None])
+                if trial is not None and float(trial[0][0] @ trial[0][0]) < f:
                     theta = theta + step
                     theta[64:] -= theta[64:].mean()
-                    out = residual(theta, update_reference=True)
-                    r, payload = out
+                    out = residual(theta[None], update_reference=True)
+                    r, payload = out[0][0], tuple(p[0] for p in out[1])
                     f = float(r @ r)
                     damping = max(damping / 5.0, 1e-10)
                     accepted = True
@@ -612,9 +644,16 @@ class BiseparableConstruction:
     sign_accepted: int
     classification: str
     singular_values: tuple[float, float]
+    # rejected attempts by reason (see _REJECTIONS); they sum to attempts - 1
+    rejections: dict[str, int]
 
     def __iter__(self):
         return iter((self.state, self.triple))
+
+
+# why construct_biseparable turns an attempt down, in the order it checks
+_REJECTIONS = ("sign_gate", "search_not_converged", "pin_failed", "pin_moved",
+               "profile", "nonextremal", "triple", "dependence")
 
 
 def _dependence_singular_values(state: HermitianOperator,
@@ -638,11 +677,13 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
     starts from a random isotropic subspace, which is where the
     vanishing-invariant (type II) solutions live. Candidates are pinned to
     the exact rank-4444 manifold before validation; outputs are extremal and
-    entangled. Raises MaxIterations after 400 attempts.
+    entangled. Every turned-down attempt is counted under its reason in
+    `rejections`. Raises MaxIterations after 400 attempts.
     """
     attempts = 0
     sign_decisions = 0
     sign_accepted = 0
+    rejections = dict.fromkeys(_REJECTIONS, 0)
     problem = RankTargetProblem((4, 4, 4, 4))
     for _ in range(_CONSTRUCTION_MAX_ATTEMPTS):
         attempts += 1
@@ -652,10 +693,12 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         start = isotropic_subspace(rng).psi if use_isotropic else None
         sign_decisions += 1
         if not np.all(signs > 0):
+            rejections["sign_gate"] += 1
             continue
         sign_accepted += 1
         payload, f = compatible_subspace_search(rng, signs, start_frame=start)
         if payload is None or f > _SEARCH_F_TARGET:
+            rejections["search_not_converged"] += 1
             continue
         psi, logw, pe, pf, pg = payload
         weights = np.exp(logw)
@@ -666,25 +709,31 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         x, f_pin, _ = refine_block(problem, mat_to_coords(candidate.mat),
                                    f_target=1e-24, max_iters=40)
         if f_pin > 1e-20:
+            rejections["pin_failed"] += 1
             continue
         state = problem.rho(x)
         if state.trace() < 0:
             state = HermitianOperator(-state.mat)
         state = state.normalized()
         if np.linalg.norm(state.mat - candidate.mat) > 1e-2:
+            rejections["pin_moved"] += 1
             continue
         profile = ppt_profile(state)
         if not profile.is_ppt or profile.ranks != (4, 4, 4, 4):
+            rejections["profile"] += 1
             continue
         if not is_extremal(state).extremal:
             # a nonextremal rank-4 PPT state is separable, outside this target
+            rejections["nonextremal"] += 1
             continue
         try:
             triple = biseparable_triple(state, rng=rng)
         except ConstructionError:
+            rejections["triple"] += 1
             continue
         s1, s2 = _dependence_singular_values(state, triple)
         if max(s1, s2) > 1e-9:
+            rejections["dependence"] += 1
             continue
         classification = classify_type(state)
         return BiseparableConstruction(
@@ -695,9 +744,11 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
             sign_accepted=sign_accepted,
             classification=classification,
             singular_values=(s1, s2),
+            rejections=rejections,
         )
     raise MaxIterations(
-        f"no accepted construction within {_CONSTRUCTION_MAX_ATTEMPTS} attempts")
+        f"no accepted construction within {_CONSTRUCTION_MAX_ATTEMPTS} attempts; "
+        f"rejections {rejections}")
 
 
 __all__ = [

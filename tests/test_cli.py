@@ -31,6 +31,17 @@ class TestStateRecord:
         assert "version" in record.provenance
         assert record.classification["separable"] in (True, False, None)
 
+    def test_caveated_entangled_verdict_is_not_a_decision(self):
+        """A state deep inside the separable set can be a mixture of
+        entangled extremal PPT states; the probe then reports entangled
+        evidence with its caveat, and the record leaves separability open."""
+        mixed = qs.random_density(np.random.default_rng(3)).mat
+        state = qs.HermitianOperator(0.98 * np.eye(8) / 8 + 0.02 * mixed)
+        record = cli.annotate_state(state, {"method": "test"},
+                                    probe_rng=np.random.default_rng(1), probe_trials=4)
+        assert not record.extremal
+        assert record.classification["separable"] is None
+
     def test_reload_reproduces_annotations(self, rng):
         record = cli.annotate_state(random_separable(rng, 3), {"method": "test"})
         back = cli.StateRecord.from_json(record.to_json())

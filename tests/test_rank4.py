@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pptatlas import extremal as ex
 from pptatlas import invariants as inv
@@ -18,6 +19,145 @@ ALLOWED_SUPPORTS = {
     3: ["1133", "1243", "1423", "2134", "2244", "3241"],
     4: ["1144", "1234", "1324", "2143", "2233", "3142"],
 }
+
+
+def _reference_pencil_columns(psi, bipartition):
+    """One frame's unit pencil columns, or None for a degenerate pencil."""
+    top, bottom = pv._ROW_SPLITS[bipartition]
+    a_mat, b_mat = psi[top, :], psi[bottom, :]
+    try:
+        _, vr = np.linalg.eig(np.linalg.solve(b_mat, a_mat))
+    except np.linalg.LinAlgError:
+        try:
+            _, vr = scipy.linalg.eig(a_mat, b_mat)
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+    if not np.all(np.isfinite(vr)):
+        return None
+    phis = psi @ vr
+    norms = np.linalg.norm(phis, axis=0)
+    if norms.min() < 1e-10:
+        return None
+    return phis / norms
+
+
+def _reference_match_columns(new, ref):
+    if ref is None:
+        return new
+    overlap = np.abs(ref.conj().T @ new)
+    order = [0, 0, 0, 0]
+    for _ in range(4):
+        i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
+        order[i] = j
+        overlap[i, :] = -1.0
+        overlap[:, j] = -1.0
+    return new[:, order]
+
+
+def _reference_projector_coords(cols):
+    projs = np.einsum("ic,jc->cij", cols, cols.conj())
+    return np.einsum("kab,cba->ck", qs.hermitian_basis(), projs).real
+
+
+class _ReferenceResidual:
+    """The compatibility residual one parameter vector at a time, with the
+    projector coordinates as einsums: the reference for the stacked one."""
+
+    def __init__(self, signs):
+        self.signs = np.asarray(signs, dtype=float)
+        self.reference = {bp: None for bp in pv.BIPARTITIONS}
+
+    def __call__(self, theta, update_reference=False):
+        frame = (theta[:32] + 1j * theta[32:64]).reshape(8, 4)
+        psi, _ = np.linalg.qr(frame)
+        logw = r4._WEIGHT_CAP * np.tanh(theta[64:] / r4._WEIGHT_CAP)
+        vecs = {}
+        for bp in pv.BIPARTITIONS:
+            cols = _reference_pencil_columns(psi, bp)
+            if cols is None:
+                return None
+            vecs[bp] = _reference_match_columns(cols, self.reference[bp])
+        if update_reference:
+            self.reference = dict(vecs)
+        coords = {bp: _reference_projector_coords(vecs[bp]) for bp in pv.BIPARTITIONS}
+        combo = (self.signs * np.exp(logw)) @ coords["1|23"]
+        combo = combo / np.linalg.norm(combo)
+        residuals = []
+        for bp in ("2|13", "3|12"):
+            qb, _ = np.linalg.qr(coords[bp].T)
+            residuals.append(combo - qb @ (qb.T @ combo))
+        barriers = []
+        for bp in pv.BIPARTITIONS:
+            det = max(np.linalg.det(vecs[bp].conj().T @ vecs[bp]).real, 1e-300)
+            barriers.append(0.5 * max(0.0, r4._GRAM_LOG_FLOOR - np.log10(det)))
+        if np.all(self.signs > 0):
+            evs = np.linalg.eigvalsh(np.einsum("k,kab->ab", combo, qs.hermitian_basis()))
+            ev4 = max(abs(float(evs[4])), 1e-300)
+            barriers.append(0.5 * max(0.0, np.log10(r4._RANK_FLOOR) - np.log10(ev4)))
+        return np.concatenate([residuals[0], residuals[1], np.array(barriers)])
+
+
+def _search_point(seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.standard_normal(64), 0.3 * rng.standard_normal(4)])
+
+
+class TestCompatibilityResidual:
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, 1, -1, 1)])
+    def test_stack_rows_match_reference(self, signs):
+        theta = _search_point(7)
+        stacked = r4._CompatibilityResidual(np.array(signs))
+        reference = _ReferenceResidual(np.array(signs))
+        r0, payload = stacked(theta[None], update_reference=True)
+        assert np.abs(r0[0] - reference(theta, update_reference=True)).max() < 1e-13
+        for block, bp in zip(payload[2:], pv.BIPARTITIONS):
+            assert np.abs(block[0] - reference.reference[bp]).max() < 1e-13
+        probes = theta + r4._JACOBIAN_STEP * np.eye(68)
+        rows, _ = stacked(probes)
+        assert rows.shape == (68, r0.shape[1])
+        for row, probe in zip(rows, probes):
+            assert np.abs(row - reference(probe)).max() < 1e-13
+
+    def test_jacobian_matches_column_by_column(self):
+        theta = _search_point(8)
+        step = r4._JACOBIAN_STEP
+        stacked = r4._CompatibilityResidual(np.ones(4))
+        reference = _ReferenceResidual(np.ones(4))
+        r = stacked(theta[None], update_reference=True)[0][0]
+        r_ref = reference(theta, update_reference=True)
+        jac = ((stacked(theta + step * np.eye(68))[0] - r) / step).T
+        jac_ref = np.zeros_like(jac)
+        for j in range(68):
+            shift = np.zeros(68)
+            shift[j] = step
+            jac_ref[:, j] = (reference(theta + shift) - r_ref) / step
+        assert np.abs(jac - jac_ref).max() < 1e-6
+
+    def test_one_degenerate_member_breaks_the_stack(self):
+        theta = _search_point(9)
+        stacked = r4._CompatibilityResidual(np.ones(4))
+        assert stacked(theta[None], update_reference=True) is not None
+        probes = theta + r4._JACOBIAN_STEP * np.eye(68)
+        assert stacked(probes) is not None
+        # a non-finite frame: its pencils have no finite eigenvectors
+        probes[17, 3] = np.nan
+        assert _ReferenceResidual(np.ones(4))(probes[17]) is None
+        assert stacked(probes) is None
+
+    def test_singular_member_falls_back_alone(self):
+        """A frame whose 1|23 pencil has a singular bottom block makes the
+        stacked solve raise; the stack is then solved member by member and
+        agrees with the reference."""
+        theta = _search_point(10)
+        frame = (theta[:32] + 1j * theta[32:64]).reshape(8, 4)
+        frame[4:, 0] = 0.0          # first column lies in |0> x C^4
+        singular = np.concatenate([frame.real.ravel(), frame.imag.ravel(), theta[64:]])
+        probes = np.stack([theta, singular, theta + 1e-3])
+        stacked = r4._CompatibilityResidual(np.ones(4))
+        rows, _ = stacked(probes)
+        reference = _ReferenceResidual(np.ones(4))
+        for row, probe in zip(rows, probes):
+            assert np.abs(row - reference(probe)).max() < 1e-13
 
 
 class TestClassifyType:
@@ -251,6 +391,13 @@ class TestConstructBiseparable:
         assert result.classification in ("I", "II")
         probe = ex.separability_probe(state, np.random.default_rng(0))
         assert probe.verdict == "entangled_evidence"
+
+    def test_rejections_account_for_every_attempt(self):
+        result = r4.construct_biseparable(np.random.default_rng(500))
+        assert set(result.rejections) == set(r4._REJECTIONS)
+        assert sum(result.rejections.values()) == result.attempts - 1
+        assert (result.rejections["sign_gate"]
+                == result.sign_decisions - result.sign_accepted)
 
     def test_generic_subspace_has_no_dependence(self, rng):
         """Without minimization the two dependence tests fail by a wide margin."""
