@@ -141,39 +141,35 @@ def annotate_state(state: HermitianOperator, provenance: dict,
                    probe_trials: int = 0) -> StateRecord:
     """Compute the full annotation block of a state.
 
-    With probe_trials > 0 the separability probe runs and fills the
-    `separable` field: True for a certified decomposition, False for entangled
-    evidence without a caveat, None otherwise (an entangled verdict with its
-    caveat set is not a decision). Without the probe, separability is only set
-    for the decided cases (pure product or mixed extremal).
+    An extremal state is decided without the probe: separable exactly when it
+    is pure (a pure extremal PPT state is a product, a mixed one is
+    entangled). For a nonextremal state with probe_trials > 0 the
+    separability probe runs and sets `separable` to True for a certified
+    decomposition and leaves it None otherwise: its entangled verdicts on a
+    nonextremal input carry the caveat that the state may still be a mixture
+    of entangled extremal states, so they are not a decision.
     """
     state = state.normalized()
-    profile = ppt_profile(state, tolerances.rank_tol, tolerances.psd_tol)
-    fprint = fingerprint(state, tolerances.i2_zero_tol)
-    result = is_extremal(state, tolerances.rank_tol, tolerances.psd_tol,
-                         tolerances.face_eig_window)
+    profile = ppt_profile(state, tolerances)
+    fprint = fingerprint(state, tolerances)
+    result = is_extremal(state, tolerances)
     rank4_type = None
     if profile.is_ppt and profile.ranks == (4, 4, 4, 4):
-        rank4_type = classify_type(state, tolerances.rank_tol, tolerances.i2_zero_tol)
+        rank4_type = classify_type(state, tolerances)
     separable: bool | None = None
     if result.extremal:
         separable = profile.ranks[0] == 1
-    if probe_trials > 0 and separable is None:
+    elif probe_trials > 0:
         rng = probe_rng if probe_rng is not None else np.random.default_rng(0)
-        probe = separability_probe(state, rng, n_trials=probe_trials,
-                                   tol=tolerances.rank_tol, psd_tol=tolerances.psd_tol,
-                                   window=tolerances.face_eig_window)
-        if probe.verdict == "separable_evidence":
-            separable = True
-        elif probe.verdict == "entangled_evidence" and not probe.caveat:
-            # with the caveat set the input may still be a mixture of
-            # entangled extremal states, separable or not
-            separable = False
+        probe = separability_probe(state, rng, n_trials=probe_trials, tolerances=tolerances)
+        separable = True if probe.verdict == "separable_evidence" else None
     classification = {"separable": separable, "type": rank4_type}
     provenance = dict(provenance)
     provenance.setdefault("rng", RNG_ALGORITHM)
     provenance.setdefault("version", __version__)
-    provenance.setdefault("tolerances", asdict(tolerances))
+    # the tolerances that decided this annotation, also when reclassifying a
+    # record made with others
+    provenance["tolerances"] = asdict(tolerances)
     return StateRecord(
         matrix=np.array(state.mat),
         profile=profile,
@@ -255,9 +251,7 @@ def cmd_search_extremal(seed: int, n_runs: int, out_dir: str | Path | None = Non
     for run, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         rng = np.random.default_rng(child)
         start = random_ppt_state(rng)
-        endpoint = descend_to_extremal(start, rng, tol=tolerances.rank_tol,
-                                       psd_tol=tolerances.psd_tol,
-                                       window=tolerances.face_eig_window)
+        endpoint = descend_to_extremal(start, rng, tolerances)
         record = annotate_state(endpoint, {
             "method": "search-extremal",
             "parameters": {"interior": PPT_INTERIOR},
@@ -289,14 +283,12 @@ def cmd_search_ranks(targets, method: str = "cg", seed: int = 0,
     rng = np.random.default_rng(seed)
     problem = RankTargetProblem(targets)
     if method == "cg":
-        result = solve_targets(problem, rng, restarts=budget,
-                               tol=tolerances.rank_tol, psd_tol=tolerances.psd_tol,
+        result = solve_targets(problem, rng, restarts=budget, tolerances=tolerances,
                                require_exact=True)
         state = result.state if result.success else None
     elif method == "sq":
         try:
-            result = minimize_sq(problem, rng, budget=budget,
-                                 tol=tolerances.rank_tol, psd_tol=tolerances.psd_tol)
+            result = minimize_sq(problem, rng, budget=budget, tolerances=tolerances)
             state = result.state
         except BudgetExhausted:
             state = None
@@ -308,7 +300,7 @@ def cmd_search_ranks(targets, method: str = "cg", seed: int = 0,
         "method": f"search-ranks-{method}",
         "parameters": {"targets": list(targets), "budget": budget},
         "seed": int(seed),
-    }, tolerances, probe_rng=rng)
+    }, tolerances)
     if out_path is not None:
         Path(out_path).write_text(record.to_json() + "\n")
     return record
@@ -346,7 +338,7 @@ def cmd_construct(family: str, seed: int = 0, angles=None, t: complex | None = N
         "method": f"construct-{family}",
         "parameters": parameters,
         "seed": int(seed),
-    }, tolerances, probe_rng=rng)
+    }, tolerances)
     if out_path is not None:
         Path(out_path).write_text(record.to_json() + "\n")
     return record

@@ -1,4 +1,9 @@
-"""Numerical tolerances, collected in one place and overridable per call."""
+"""The run tolerances of the four threshold decisions, collected in one value.
+
+A run builds one Tolerances (the CLI from its --tol-* flags and PPTATLAS_TOL_*
+variables) and every package function that makes one of these decisions
+takes it whole as its `tolerances` argument, defaulting to DEFAULT.
+"""
 
 from __future__ import annotations
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .errors import BadArity, MaxIterations, MinimizationFailed, NotPpt
 from .qstate import (
     DIM,
@@ -51,12 +51,11 @@ class FaceOperators:
         return 0.5 * (total + total.T)
 
 
-def face_operators(rho, tol: float = DEFAULT.rank_tol,
-                   psd_tol: float = DEFAULT.psd_tol) -> FaceOperators:
+def face_operators(rho, tolerances: Tolerances = DEFAULT) -> FaceOperators:
     """Materialize the four face-constraint projections for a PPT state."""
     mat = _as_matrix(rho)
     mat = mat / np.trace(mat).real
-    profile = ppt_profile(mat, tol, psd_tol)
+    profile = ppt_profile(mat, tolerances)
     if not profile.is_ppt:
         raise NotPpt(f"minimum transpose eigenvalue {min(profile.min_eigenvalues):.3e}")
     basis = hermitian_basis()
@@ -64,7 +63,7 @@ def face_operators(rho, tol: float = DEFAULT.rank_tol,
     projectors = np.empty((4, DIM, DIM), dtype=complex)
     for i, pt in enumerate(all_ptransposes(mat)):
         w, v = np.linalg.eigh(pt)
-        keep = np.abs(w) > tol * np.abs(w).max()
+        keep = np.abs(w) > tolerances.rank_tol * np.abs(w).max()
         vk = v[:, keep]
         proj = vk @ vk.conj().T
         projectors[i] = proj
@@ -91,19 +90,17 @@ class FaceSolutionSpace:
     eigenvalues: np.ndarray = field(repr=False, default=None)
 
 
-def face_solution_space(rho, tol: float = DEFAULT.rank_tol,
-                        psd_tol: float = DEFAULT.psd_tol,
-                        window: float = DEFAULT.face_eig_window) -> FaceSolutionSpace:
+def face_solution_space(rho, tolerances: Tolerances = DEFAULT) -> FaceSolutionSpace:
     """Solve the combined eigenvalue problem and keep the traceless directions.
 
-    Eigenvectors with eigenvalue within `window` of 4 span the solutions; each
-    is shifted by -(trace)*rho, which annihilates the rho direction and leaves
-    traceless face tangents whose span is orthonormalized.
+    Eigenvectors with eigenvalue within face_eig_window of 4 span the
+    solutions; each is shifted by -(trace)*rho, which annihilates the rho
+    direction and leaves traceless face tangents whose span is orthonormalized.
     """
-    ops = face_operators(rho, tol, psd_tol)
+    ops = face_operators(rho, tolerances)
     state = HermitianOperator(_as_matrix(rho)).normalized()
     w, v = np.linalg.eigh(ops.combined)
-    sel = np.abs(w - 4.0) < window
+    sel = np.abs(w - 4.0) < tolerances.face_eig_window
     count = int(np.count_nonzero(sel))
     basis_full = hermitian_basis()
     rho_coords = mat_to_coords(state.mat, basis_full)
@@ -129,11 +126,9 @@ class ExtremalityResult(NamedTuple):
     profile: PptProfile
 
 
-def is_extremal(rho, tol: float = DEFAULT.rank_tol,
-                psd_tol: float = DEFAULT.psd_tol,
-                window: float = DEFAULT.face_eig_window) -> ExtremalityResult:
+def is_extremal(rho, tolerances: Tolerances = DEFAULT) -> ExtremalityResult:
     """Extremality test: the state is extremal iff its face has dimension zero."""
-    space = face_solution_space(rho, tol, psd_tol, window)
+    space = face_solution_space(rho, tolerances)
     return ExtremalityResult(space.dimension == 0, space.dimension, space.profile)
 
 
@@ -164,7 +159,7 @@ def clean_ppt_boundary(mat: np.ndarray, floor: float = 1e-12,
 
 
 def line_search_to_boundary(rho, sigma: np.ndarray,
-                            psd_tol: float = DEFAULT.psd_tol,
+                            tolerances: Tolerances = DEFAULT,
                             eps_tol: float = 1e-10) -> tuple[float, HermitianOperator]:
     """Largest epsilon with rho + epsilon*sigma still PPT, found by bisection
     on the minimum eigenvalue over all four partial transposes.
@@ -173,12 +168,12 @@ def line_search_to_boundary(rho, sigma: np.ndarray,
     points still pass downstream PPT checks at the full tolerance."""
     mat = _as_matrix(rho)
     sig = _as_matrix(sigma)
-    threshold = -0.5 * psd_tol
+    threshold = -0.5 * tolerances.psd_tol
 
     def ppt_at(eps: float) -> bool:
         return transpose_spectra(mat + eps * sig).min() >= threshold
 
-    if transpose_spectra(mat).min() < -psd_tol:
+    if transpose_spectra(mat).min() < -tolerances.psd_tol:
         raise NotPpt("starting state is not PPT within tolerance")
     lo, hi = 0.0, 1.0
     while ppt_at(hi):
@@ -209,23 +204,21 @@ _MAX_DIRECTION_RETRIES = 12
 
 
 def descend_to_extremal(rho, rng: np.random.Generator,
-                        tol: float = DEFAULT.rank_tol,
-                        psd_tol: float = DEFAULT.psd_tol,
-                        window: float = DEFAULT.face_eig_window) -> HermitianOperator:
+                        tolerances: Tolerances = DEFAULT) -> HermitianOperator:
     """Repeated boundary line searches along random face directions until the
     face dimension reaches zero; returns the extremal endpoint. Raises
     MaxIterations when _MAX_DIRECTION_RETRIES directions all fail to lower
     the face dimension, or after _MAX_DESCENT_STEPS steps."""
-    space = face_solution_space(rho, tol, psd_tol, window)
+    space = face_solution_space(rho, tolerances)
     for _ in range(_MAX_DESCENT_STEPS):
         if space.dimension == 0:
             return space.state
         for _ in range(_MAX_DIRECTION_RETRIES):
             sigma = _random_direction(space, rng)
-            eps, candidate = line_search_to_boundary(space.state, sigma, psd_tol)
+            eps, candidate = line_search_to_boundary(space.state, sigma, tolerances)
             if eps <= 1e-9:
                 continue
-            new_space = face_solution_space(candidate, tol, psd_tol, window)
+            new_space = face_solution_space(candidate, tolerances)
             if new_space.dimension < space.dimension:
                 space = new_space
                 break
@@ -285,7 +278,7 @@ def _merge_endpoint(pool: list[ProbeEndpoint], ep: ProbeEndpoint) -> None:
 
 
 def _endpoint(state: HermitianOperator, weight: float, profile: PptProfile,
-              resolved: bool, tol: float) -> ProbeEndpoint:
+              resolved: bool) -> ProbeEndpoint:
     pure = profile.ranks[0] == 1
     product = False
     if pure:
@@ -295,16 +288,14 @@ def _endpoint(state: HermitianOperator, weight: float, profile: PptProfile,
 
 
 def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
-                       tol: float = DEFAULT.rank_tol,
-                       psd_tol: float = DEFAULT.psd_tol,
-                       window: float = DEFAULT.face_eig_window) -> SeparabilityProbe:
+                       tolerances: Tolerances = DEFAULT) -> SeparabilityProbe:
     """Walk to both face boundary points along random directions, recursing on
     the endpoints to depth 8, and classify the state by the extremal states
     collected."""
     root = HermitianOperator(_as_matrix(rho)).normalized()
-    root_space = face_solution_space(root, tol, psd_tol, window)
+    root_space = face_solution_space(root, tolerances)
     if root_space.dimension == 0:
-        ep = _endpoint(root_space.state, 1.0, root_space.profile, True, tol)
+        ep = _endpoint(root_space.state, 1.0, root_space.profile, True)
         if ep.pure and ep.product:
             return SeparabilityProbe("separable_evidence", [ep], False, 0, 0.0)
         # a mixed extremal PPT state cannot be a mixture of pure products
@@ -323,34 +314,32 @@ def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
                 # a PPT state of rank 2 or 3 is separable, so a mixed extremal
                 # leaf of that rank is a misread kernel, not entanglement
                 misread = 2 <= space.profile.ranks[0] <= 3
-                leaves.append(_endpoint(space.state, weight, space.profile,
-                                        not misread, tol))
+                leaves.append(_endpoint(space.state, weight, space.profile, not misread))
                 certifiable = certifiable and not misread
                 continue
             if depth >= 8:
-                leaves.append(_endpoint(space.state, weight, space.profile, False, tol))
+                leaves.append(_endpoint(space.state, weight, space.profile, False))
                 certifiable = False
                 continue
             split = None
             for _ in range(5):
                 sigma = _random_direction(space, rng)
-                eps_plus, cand_plus = line_search_to_boundary(space.state, sigma, psd_tol)
-                eps_minus, cand_minus = line_search_to_boundary(space.state, -sigma, psd_tol)
+                eps_plus, cand_plus = line_search_to_boundary(space.state, sigma, tolerances)
+                eps_minus, cand_minus = line_search_to_boundary(space.state, -sigma,
+                                                                tolerances)
                 if eps_plus > 1e-8 and eps_minus > 1e-8:
                     split = (eps_plus, cand_plus, eps_minus, cand_minus)
                     break
             if split is None:
-                leaves.append(_endpoint(space.state, weight, space.profile, False, tol))
+                leaves.append(_endpoint(space.state, weight, space.profile, False))
                 certifiable = False
                 continue
             eps_plus, cand_plus, eps_minus, cand_minus = split
             total = eps_plus + eps_minus
             w_minus = weight * eps_plus / total
             w_plus = weight * eps_minus / total
-            stack.append((w_minus, face_solution_space(cand_minus, tol, psd_tol, window),
-                          depth + 1))
-            stack.append((w_plus, face_solution_space(cand_plus, tol, psd_tol, window),
-                          depth + 1))
+            stack.append((w_minus, face_solution_space(cand_minus, tolerances), depth + 1))
+            stack.append((w_plus, face_solution_space(cand_plus, tolerances), depth + 1))
 
         for ep in leaves:
             if ep.resolved and not ep.pure:
@@ -432,7 +421,7 @@ def symmetric_state(rng: np.random.Generator, rank: int | None = None) -> Hermit
         if state.trace() < 0:
             state = HermitianOperator(-state.mat)
         state = state.normalized()
-        profile = ppt_profile(state, DEFAULT.rank_tol, DEFAULT.psd_tol)
+        profile = ppt_profile(state)
         if profile.is_ppt and profile.ranks == (rank,) * 4:
             # round to the exactly symmetric subspace
             return symmetrize_under_transposes(state, (1, 2, 3)).normalized()

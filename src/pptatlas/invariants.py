@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .errors import InvariantMismatch
 from .qstate import _as_matrix, invariant_tensor_E, pauli_decompose
 
@@ -28,15 +28,28 @@ def _lower_all(a: np.ndarray) -> np.ndarray:
     return a * s[:, None, None] * s[None, :, None] * s[None, None, :]
 
 
+def _quadratic_forms(mat: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+    e = invariant_tensor_E()
+    trace_form = float((-np.trace(mat.T @ e @ mat @ e) / 8.0).real)
+    contraction_form = float(np.einsum("mnl,mnl->", a, _lower_all(a)))
+    return trace_form, contraction_form
+
+
 def quadratic_invariant_forms(rho) -> tuple[float, float]:
     """The quadratic invariant computed two independent ways:
     -(1/8) Tr(rho^T E rho E) and the metric contraction of the Pauli tensor."""
     mat = _as_matrix(rho)
-    e = invariant_tensor_E()
-    trace_form = float((-np.trace(mat.T @ e @ mat @ e) / 8.0).real)
-    a = np.asarray(pauli_decompose(mat).coeffs)
-    contraction_form = float(np.einsum("mnl,mnl->", a, _lower_all(a)))
-    return trace_form, contraction_form
+    return _quadratic_forms(mat, pauli_decompose(mat).coeffs)
+
+
+def _checked_quadratic(mat: np.ndarray, a: np.ndarray) -> float:
+    trace_form, contraction_form = _quadratic_forms(mat, a)
+    scale = float(np.sum(a * a)) + 1e-300
+    if abs(trace_form - contraction_form) > 1e-10 * scale:
+        raise InvariantMismatch(
+            f"trace form {trace_form:.16e} vs contraction form {contraction_form:.16e}"
+        )
+    return trace_form
 
 
 def quadratic_invariant(rho) -> float:
@@ -45,14 +58,14 @@ def quadratic_invariant(rho) -> float:
     The trace form and the contraction form are cross-checked against each
     other at 1e-10 relative to the tensor's magnitude scale.
     """
-    trace_form, contraction_form = quadratic_invariant_forms(rho)
-    a = np.asarray(pauli_decompose(rho).coeffs)
-    scale = float(np.sum(a * a)) + 1e-300
-    if abs(trace_form - contraction_form) > 1e-10 * scale:
-        raise InvariantMismatch(
-            f"trace form {trace_form:.16e} vs contraction form {contraction_form:.16e}"
-        )
-    return trace_form
+    mat = _as_matrix(rho)
+    return _checked_quadratic(mat, pauli_decompose(mat).coeffs)
+
+
+def i2_vanishes(i2: float, trace: float, tolerances: Tolerances) -> bool:
+    """Whether the quadratic invariant counts as zero: i2 below
+    i2_zero_tol * trace^2. This is the type I / type II decision."""
+    return i2 < tolerances.i2_zero_tol * trace * trace
 
 
 # contraction patterns of the four independent quartic invariants; each of the
@@ -65,14 +78,7 @@ _QUARTIC_PATTERNS = (
 )
 
 
-def quartic_invariants(rho) -> tuple[float, float, float, float]:
-    """The four independent quartic Lorentz invariants of the Pauli tensor.
-
-    Every summation index pairs one upper and one lower position, so the
-    metric contributes exactly one sign factor per index; the contraction is
-    evaluated Euclidean-style with those factors attached.
-    """
-    a = np.asarray(pauli_decompose(rho).coeffs)
+def _quartics(a: np.ndarray) -> tuple[float, float, float, float]:
     s = _METRIC_SIGNS
     values = []
     for pattern in _QUARTIC_PATTERNS:
@@ -80,6 +86,16 @@ def quartic_invariants(rho) -> tuple[float, float, float, float]:
         subscripts = pattern + "," + ",".join(indices) + "->"
         values.append(float(np.einsum(subscripts, a, a, a, a, *([s] * len(indices)))))
     return tuple(values)
+
+
+def quartic_invariants(rho) -> tuple[float, float, float, float]:
+    """The four independent quartic Lorentz invariants of the Pauli tensor.
+
+    Every summation index pairs one upper and one lower position, so the
+    metric contributes exactly one sign factor per index; the contraction is
+    evaluated Euclidean-style with those factors attached.
+    """
+    return _quartics(pauli_decompose(rho).coeffs)
 
 
 @dataclass(frozen=True)
@@ -106,13 +122,15 @@ class InvariantFingerprint:
         return (self.i41, self.i42, self.i43, self.i44)
 
 
-def fingerprint(rho, i2_zero_tol: float = DEFAULT.i2_zero_tol) -> InvariantFingerprint:
-    """Invariant fingerprint of a nonzero Hermitian matrix."""
+def fingerprint(rho, tolerances: Tolerances = DEFAULT) -> InvariantFingerprint:
+    """Invariant fingerprint of a nonzero Hermitian matrix; the Pauli tensor
+    is decomposed once and shared by the quadratic and quartic invariants."""
     mat = _as_matrix(rho)
     tr = float(np.trace(mat).real)
-    i2 = quadratic_invariant(mat)
-    quartics = quartic_invariants(mat)
-    degenerate = i2 < i2_zero_tol * tr * tr
+    a = pauli_decompose(mat).coeffs
+    i2 = _checked_quadratic(mat, a)
+    quartics = _quartics(a)
+    degenerate = i2_vanishes(i2, tr, tolerances)
     denom = tr ** 4 if degenerate else i2 * i2
     normalized = tuple(q / denom for q in quartics)
     return InvariantFingerprint(i2, *quartics, normalized_quartics=normalized,
@@ -147,6 +165,7 @@ __all__ = [
     "InvariantFingerprint",
     "fingerprint",
     "fingerprints_close",
+    "i2_vanishes",
     "quadratic_invariant",
     "quadratic_invariant_forms",
     "quartic_invariants",

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .errors import DegenerateDraw, NotAState, SingularFactor
 
 DIM = 8
@@ -262,17 +262,15 @@ class PptProfile:
         return self.square_sum <= 193
 
 
-def ppt_profile(rho, tol: float = DEFAULT.rank_tol,
-                psd_tol: float | None = None) -> PptProfile:
+def ppt_profile(rho, tolerances: Tolerances = DEFAULT) -> PptProfile:
     """Rank profile (m0,m1,m2,m3) of rho, rho^T1, rho^T2, rho^T3.
 
     The input is normalized to unit trace first; raises NotAState if rho itself
     has an eigenvalue below -psd_tol after normalization. Rank counts
-    eigenvalues exceeding tol * (largest magnitude); is_ppt requires every
+    eigenvalues exceeding rank_tol * (largest magnitude); is_ppt requires every
     eigenvalue of every transpose to be >= -psd_tol.
     """
-    if psd_tol is None:
-        psd_tol = max(DEFAULT.psd_tol, tol * 0.1)
+    tol, psd_tol = tolerances.rank_tol, tolerances.psd_tol
     mat = _as_matrix(rho)
     tr = float(np.trace(mat).real)
     if abs(tr) < 1e-300:

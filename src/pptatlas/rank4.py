@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .errors import (
     ConstructionError,
     DegenerateDraw,
@@ -25,7 +25,7 @@ from .errors import (
     NotRank4,
 )
 from .extremal import is_extremal
-from .invariants import quadratic_invariant
+from .invariants import i2_vanishes, quadratic_invariant
 from .prodvec import _ROW_SPLITS, BIPARTITIONS, SubspaceBasis, product_vectors_in_subspace
 from .qstate import (
     DIM,
@@ -66,16 +66,15 @@ def _projector_coords(cols: np.ndarray) -> np.ndarray:
 # classification
 # ---------------------------------------------------------------------------
 
-def classify_type(rho, tol: float = DEFAULT.rank_tol,
-                  i2_zero_tol: float = DEFAULT.i2_zero_tol) -> str:
+def classify_type(rho, tolerances: Tolerances = DEFAULT) -> str:
     """'I' or 'II' by the quadratic invariant; raises NotRank4 otherwise."""
-    profile = ppt_profile(rho, tol)
+    profile = ppt_profile(rho, tolerances)
     if not profile.is_ppt or profile.ranks != (4, 4, 4, 4):
         raise NotRank4(f"profile is {profile.ranks}, is_ppt={profile.is_ppt}")
     mat = _as_matrix(rho)
     i2 = quadratic_invariant(mat)
     tr = float(np.trace(mat).real)
-    return "II" if i2 < i2_zero_tol * tr * tr else "I"
+    return "II" if i2_vanishes(i2, tr, tolerances) else "I"
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .errors import BudgetExhausted, NotAState
 from .qstate import (
     DIM,
@@ -132,8 +132,7 @@ def _random_start(problem: RankTargetProblem, rng: np.random.Generator) -> np.nd
     return x / np.linalg.norm(problem.rho_mat(x))
 
 
-def _validate(problem: RankTargetProblem, x: np.ndarray,
-              tol: float, psd_tol: float):
+def _validate(problem: RankTargetProblem, x: np.ndarray, tolerances: Tolerances):
     """Profile check after convergence; accepts exact targets or a dominated profile.
 
     A point whose rho is itself indefinite, or traceless, fails like any other
@@ -144,7 +143,7 @@ def _validate(problem: RankTargetProblem, x: np.ndarray,
         state = HermitianOperator(-state.mat)
     try:
         state = state.normalized()
-        profile = ppt_profile(state, tol, psd_tol)
+        profile = ppt_profile(state, tolerances)
     except NotAState:
         return None, None
     if not profile.is_ppt:
@@ -242,8 +241,7 @@ def refine_block(problem: RankTargetProblem, x0: np.ndarray,
 
 def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
                   restarts: int = 20,
-                  tol: float = DEFAULT.rank_tol,
-                  psd_tol: float = DEFAULT.psd_tol,
+                  tolerances: Tolerances = DEFAULT,
                   require_exact: bool = False) -> RankSearchResult:
     """Restarted linearized search for the target profile.
 
@@ -262,7 +260,7 @@ def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
         if f < _F_TARGET:
             x, f, e = refine_block(problem, x, max_iters=12, f_target=_POLISH_TARGET)
             evals += e
-            state, profile = _validate(problem, x, tol, psd_tol)
+            state, profile = _validate(problem, x, tolerances)
             if state is None:
                 continue
             if require_exact and profile.ranks != problem.targets:
@@ -273,8 +271,7 @@ def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
 
 def minimize_sq(problem: RankTargetProblem, rng: np.random.Generator,
                 budget: int = 200_000,
-                tol: float = DEFAULT.rank_tol,
-                psd_tol: float = DEFAULT.psd_tol) -> RankSearchResult:
+                tolerances: Tolerances = DEFAULT) -> RankSearchResult:
     """Derivative-free minimization of f(x) = sum mu_i(x)^2 by an adaptive
     random-step descent with restarts; raises BudgetExhausted on failure."""
     evals = 0
@@ -307,7 +304,7 @@ def minimize_sq(problem: RankTargetProblem, rng: np.random.Generator,
             if f < _F_TARGET:
                 x, f, extra = refine_block(problem, x, max_iters=12, f_target=_POLISH_TARGET)
                 evals += extra
-                state, profile = _validate(problem, x, tol, psd_tol)
+                state, profile = _validate(problem, x, tolerances)
                 if state is not None:
                     return RankSearchResult(state, x, f, attempts, evals, True, profile)
                 break

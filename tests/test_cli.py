@@ -5,8 +5,20 @@ import pytest
 
 from pptatlas import cli
 from pptatlas import qstate as qs
+from pptatlas.config import Tolerances
+from pptatlas.rank4 import construct_type2
 
 from conftest import random_separable
+
+
+def type2_pushed_below_zero() -> qs.HermitianOperator:
+    """The type II state for t = 0.6+0.8i with the lowest eigenvalue of its
+    first partial transpose pushed to -2e-9, renormalized: rho's own smallest
+    eigenvalue is then -1.6e-9, inside psd_tol = 1e-8 but not the default."""
+    state, _ = construct_type2(0.6 + 0.8j)
+    w, v = np.linalg.eigh(qs.ptranspose_mat(state.mat, 1))
+    w[0] = -2e-9
+    return qs.HermitianOperator(qs.ptranspose_mat((v * w) @ v.conj().T, 1)).normalized()
 
 
 class TestStateRecord:
@@ -41,6 +53,16 @@ class TestStateRecord:
                                     probe_rng=np.random.default_rng(1), probe_trials=4)
         assert not record.extremal
         assert record.classification["separable"] is None
+
+    def test_psd_tolerance_reaches_type_classification(self):
+        """The run's psd tolerance decides the PPT sign in every layer,
+        including the rank-4444 type classification."""
+        record = cli.annotate_state(type2_pushed_below_zero(), {},
+                                    Tolerances(psd_tol=1e-8))
+        assert record.profile.key == "4444"
+        assert record.extremal
+        assert record.fingerprint.degenerate
+        assert record.classification["type"] == "II"
 
     def test_reload_reproduces_annotations(self, rng):
         record = cli.annotate_state(random_separable(rng, 3), {"method": "test"})
@@ -176,6 +198,30 @@ class TestMainEntry:
         monkeypatch.setenv("PPTATLAS_SEED", "77")
         parser_args = cli.build_parser().parse_args(["search-extremal"])
         assert parser_args.seed == 77
+
+    @pytest.fixture
+    def pushed_record_path(self, tmp_path):
+        record = cli.cmd_construct("type2", t=0.6 + 0.8j)
+        record.matrix = np.array(type2_pushed_below_zero().mat)
+        path = tmp_path / "pushed.json"
+        path.write_text(record.to_json() + "\n")
+        return str(path)
+
+    def test_env_psd_tolerance_classifies_type2(self, capsys, monkeypatch,
+                                                pushed_record_path):
+        monkeypatch.setenv("PPTATLAS_TOL_PSD", "1e-8")
+        code = cli.main(["classify", "--in", pushed_record_path, "--probe-trials", "0"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["classification"]["type"] == "II"
+        assert out["provenance"]["tolerances"]["psd_tol"] == 1e-8
+
+    def test_psd_tolerance_flag_decides(self, capsys, pushed_record_path):
+        args = ["classify", "--in", pushed_record_path, "--probe-trials", "0"]
+        assert cli.main(args) == 2
+        assert "NotAState" in capsys.readouterr().err
+        assert cli.main(args + ["--tol-psd", "1e-8"]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"]["type"] == "II"
 
     def test_classify_missing_file_exit_three(self):
         assert cli.main(["classify", "--in", "/nonexistent/state.json"]) == 3

@@ -111,6 +111,34 @@ class TestFingerprint:
         assert fp.degenerate
         assert fp.i2 < 1e-12
 
+    def test_pauli_tensor_decomposed_once(self, rng, monkeypatch):
+        calls = []
+        real = inv.pauli_decompose
+
+        def counting(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(inv, "pauli_decompose", counting)
+        inv.fingerprint(qs.random_ppt_state(rng))
+        assert len(calls) == 1
+
+    def test_one_rule_for_vanishing_i2(self):
+        """fingerprint.degenerate and classify_type's type II read the same
+        threshold i2_zero_tol * trace^2."""
+        from pptatlas.config import Tolerances
+        from pptatlas.rank4 import classify_type, construct_type1
+
+        state, _ = construct_type1(np.random.default_rng(5))
+        i2 = inv.fingerprint(state).i2
+        above = Tolerances(i2_zero_tol=1.01 * i2)
+        below = Tolerances(i2_zero_tol=0.99 * i2)
+        assert inv.i2_vanishes(i2, 1.0, above) and not inv.i2_vanishes(i2, 1.0, below)
+        assert inv.fingerprint(state, above).degenerate
+        assert classify_type(state, above) == "II"
+        assert not inv.fingerprint(state, below).degenerate
+        assert classify_type(state, below) == "I"
+
     def test_type_separation_by_orders_of_magnitude(self, rng):
         from pptatlas.rank4 import construct_type1, construct_type2
 
