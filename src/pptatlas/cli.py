@@ -33,18 +33,19 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 # Rank profiles of three-qubit PPT states confirmed by prior numerical
 # surveys, keyed by sorted profile. Value True means extremal examples are
-# known; False means only nonextremal states were found although the square
-# sum bound would allow extremal ones.
+# known; False means only nonextremal states were found, either although the
+# square-sum bound would allow extremal ones (2222, 3333, 5688) or because
+# the bound (square sum at most 193) rules them out (every row above 193).
 REFERENCE_CENSUS: dict[str, bool] = {
     "1111": True, "2222": False, "3333": False, "4444": True,
     "5555": True, "5556": True, "5557": True, "5558": True,
     "5566": True, "5567": True, "5577": True, "5578": True,
     "5666": True, "5667": True, "5668": True, "5677": True,
     "5678": True, "5688": False, "5777": True, "5778": True,
-    "5788": True, "6666": True, "6667": True, "6668": True,
-    "6677": True, "6678": True, "6688": True, "6777": True,
-    "6778": True, "6788": True, "6888": True, "7777": True,
-    "7778": True, "7788": True, "7888": True, "8888": True,
+    "5788": False, "6666": True, "6667": True, "6668": True,
+    "6677": True, "6678": True, "6688": False, "6777": True,
+    "6778": False, "6788": False, "6888": False, "7777": False,
+    "7778": False, "7788": False, "7888": False, "8888": False,
 }
 
 # asymmetric combinations for which no PPT state was found at all

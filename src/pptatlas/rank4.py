@@ -12,6 +12,8 @@ psi^T E phi vanishes identically on it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -49,17 +51,41 @@ def _form(u: np.ndarray) -> complex:
     return u @ _EE @ u
 
 
-def _projector_coords(cols: np.ndarray) -> np.ndarray:
-    """Hermitian-basis coordinates Tr(B_k P) of the projector P onto each
-    column of a stack of 8xc frames, shape (..., 8, c) -> (..., c, 64).
+@lru_cache(maxsize=1)
+def _coordinate_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Indices into the flattened real view of an 8x8 complex matrix, and
+    scales, that read the hermitian_basis() coordinates of a Hermitian one.
 
-    For a Hermitian P, Tr(B_k P) is the sum of B_k[a, b] conj(P[a, b]), so
-    the coordinates are one matmul against the flattened basis.
+    Each basis element B_k is nonzero at one upper-triangle entry (a, b) and
+    its mirror, where it is real or imaginary. For Hermitian M, Tr(B_k M) is
+    B_aa M_aa on the diagonal and 2 Re(B_ab conj(M_ab)) off it: one real
+    number of M times a constant.
     """
+    index, scale = [], []
+    for element in hermitian_basis():
+        a, b = np.argwhere(np.triu(element))[0]
+        entry = element[a, b]
+        imag = entry.real == 0
+        index.append(2 * (DIM * a + b) + int(imag))
+        scale.append((1.0 if a == b else 2.0) * (entry.imag if imag else entry.real))
+    index, scale = np.array(index), np.array(scale)
+    index.flags.writeable = scale.flags.writeable = False
+    return index, scale
+
+
+def _hermitian_coords(mats: np.ndarray) -> np.ndarray:
+    """hermitian_basis() coordinates of a stack of Hermitian 8x8 matrices,
+    (..., 8, 8) -> (..., 64), read by index from their upper triangles."""
+    index, scale = _coordinate_gather()
+    flat = np.ascontiguousarray(mats, dtype=complex).view(float)
+    return flat.reshape(*mats.shape[:-2], 2 * DIM * DIM)[..., index] * scale
+
+
+def _projector_coords(cols: np.ndarray) -> np.ndarray:
+    """Hermitian-basis coordinates of the projector onto each column of a
+    stack of 8xc frames, shape (..., 8, c) -> (..., c, 64)."""
     v = np.swapaxes(cols, -1, -2)
-    projs_conj = v.conj()[..., :, None] * v[..., None, :]
-    flat = projs_conj.reshape(*projs_conj.shape[:-2], DIM * DIM)
-    return (flat @ hermitian_basis().reshape(DIM * DIM, DIM * DIM).T).real
+    return _hermitian_coords(v[..., :, None] * v.conj()[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -448,53 +474,38 @@ def biseparable_triple(rho, rng: np.random.Generator | None = None) -> Biseparab
     return BiseparableTriple(mats[0], mats[1], mats[2], weights[0], weights[1], weights[2])
 
 
-def _pencil_eigenvectors(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray | None:
-    """Eigenvectors of a stack of 4x4 pencils (a, b), or None when any member
-    is degenerate (non-finite eigenvectors, or no eigensolver succeeds).
+def _pencil_eigs(a_mat: np.ndarray, b_mat: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues (N, 4) and eigenvectors (N, 4, 4) of a stack of 4x4
+    pencils (a, b), or None when any member is degenerate (non-finite
+    eigenvectors, or no eigensolver succeeds).
 
     A stack whose solve or eig fails is solved member by member; a single
     member whose b is singular goes to the generalized eigensolver.
     """
     try:
-        _, vr = np.linalg.eig(np.linalg.solve(b_mat, a_mat))
+        w, vr = np.linalg.eig(np.linalg.solve(b_mat, a_mat))
     except np.linalg.LinAlgError:
         if len(a_mat) > 1:
-            parts = [_pencil_eigenvectors(a_mat[i:i + 1], b_mat[i:i + 1])
-                     for i in range(len(a_mat))]
+            parts = [_pencil_eigs(a_mat[i:i + 1], b_mat[i:i + 1]) for i in range(len(a_mat))]
             if any(part is None for part in parts):
                 return None
-            return np.concatenate(parts)
+            return (np.concatenate([part[0] for part in parts]),
+                    np.concatenate([part[1] for part in parts]))
         try:
-            _, vr = scipy.linalg.eig(a_mat[0], b_mat[0])
+            w, vr = scipy.linalg.eig(a_mat[0], b_mat[0])
         except (np.linalg.LinAlgError, ValueError):
             return None
-        vr = vr[None]
+        w, vr = w[None], vr[None]
     if not np.all(np.isfinite(vr)):
         return None
-    return vr
+    return w, vr
 
 
-def _pencil_columns(psi: np.ndarray) -> np.ndarray | None:
-    """Unit-normalized pencil solution vectors of a stack of 8x4 frames, one
-    8x4 block per bipartition: (n, 8, 4) -> (n, 3, 8, 4). None when any
-    pencil is degenerate (see _pencil_eigenvectors, or a column norm below
-    1e-10)."""
-    rows = [_ROW_SPLITS[bp] for bp in BIPARTITIONS]
-    a_mat = np.stack([psi[:, top, :] for top, _ in rows], axis=1)
-    b_mat = np.stack([psi[:, bottom, :] for _, bottom in rows], axis=1)
-    vr = _pencil_eigenvectors(a_mat.reshape(-1, 4, 4), b_mat.reshape(-1, 4, 4))
-    if vr is None:
-        return None
-    phis = psi[:, None] @ vr.reshape(a_mat.shape)
-    norms = np.linalg.norm(phis, axis=-2)
-    if norms.min() < 1e-10:
-        return None
-    return phis / norms[..., None, :]
-
-
-def _match_columns(new: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Columns of each 8x4 block of new (..., 8, 4) reordered to follow the
-    matching block of ref, pairing the largest remaining overlaps first."""
+def _matching_order(new: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Column order (..., 4) that makes each 8x4 block of new (..., 8, 4)
+    follow the matching block of ref, pairing the largest remaining overlaps
+    first."""
     overlap = np.abs(np.swapaxes(ref.conj(), -1, -2) @ new)
     flat = overlap.reshape(-1, 4, 4)
     rows = np.arange(len(flat))
@@ -504,7 +515,11 @@ def _match_columns(new: np.ndarray, ref: np.ndarray) -> np.ndarray:
         order[rows, i] = j
         flat[rows, i, :] = -1.0
         flat[rows, :, j] = -1.0
-    return np.take_along_axis(new, order.reshape(*new.shape[:-2], 1, 4), axis=-1)
+    return order.reshape(new.shape[:-2] + (4,))
+
+
+def _adjoint(mats: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mats.conj(), -1, -2)
 
 
 _WEIGHT_CAP = 1.5          # log-weight bound; blocks weight-collapse cheats
@@ -512,7 +527,32 @@ _SEARCH_F_TARGET = 3e-8    # residual square sum of a converged compatibility se
 _CONSTRUCTION_MAX_ATTEMPTS = 400
 _GRAM_LOG_FLOOR = -3.0     # barrier floor for the product-basis Gram determinant
 _RANK_FLOOR = 3e-3         # barrier floor for the 4th eigenvalue of the candidate
-_JACOBIAN_STEP = 1e-7      # forward-difference step of the search Jacobian
+_PENCIL_GAP_FLOOR = 1e-8   # smallest relative pencil-eigenvalue gap the Jacobian accepts
+
+# pencil blocks of the frame rows, one per bipartition: (3, 4) row indices
+_TOP_ROWS = np.array([_ROW_SPLITS[bp][0] for bp in BIPARTITIONS])
+_BOTTOM_ROWS = np.array([_ROW_SPLITS[bp][1] for bp in BIPARTITIONS])
+# per bipartition, whether each frame row is in the top block, and its
+# position within its block: (3, 8)
+_IN_TOP = np.array([np.isin(np.arange(DIM), top) for top in _TOP_ROWS])
+_BLOCK_POSITION = np.argsort(np.concatenate([_TOP_ROWS, _BOTTOM_ROWS], axis=1), axis=1) % 4
+
+
+class _Point(NamedTuple):
+    """One evaluation of the compatibility residual on a stack of n
+    parameter vectors, with the intermediates its linearization reuses."""
+
+    residuals: np.ndarray    # (n, m)
+    payload: tuple           # psi, logw, e, f, g, stacked along n
+    upper: np.ndarray        # R of the frame QR, (n, 4, 4)
+    eigvals: np.ndarray      # pencil eigenvalues in solver order, (n, 3, 4)
+    eigvecs: np.ndarray      # pencil eigenvectors in solver order, (n, 3, 4, 4)
+    order: np.ndarray        # matching column order, (n, 3, 4)
+    norms: np.ndarray        # matched pencil column norms before normalizing, (n, 3, 4)
+    mhat: np.ndarray         # normalized candidate E diag(s w) E^dag / norm, (n, 8, 8)
+    scale: np.ndarray        # its Frobenius norm before normalizing, (n,)
+    overlap: np.ndarray      # column overlaps V^dag V per bipartition, (n, 3, 4, 4)
+    coef: np.ndarray         # 2|13 and 3|12 projector coefficients, (n, 2, 4)
 
 
 class _CompatibilityResidual:
@@ -521,13 +561,19 @@ class _CompatibilityResidual:
     product bases of all three bipartitions.
 
     Parameters are a raw 8x4 frame (orthonormalized by QR) plus four bounded
-    log-weights, 68 reals. Barrier components keep the search off the
-    degenerate strata (collapsing weights, coinciding product vectors, rank
-    drop) whose zeros would otherwise dominate.
+    log-weights, 68 reals. The candidate is M = E diag(s w) E^dag over the
+    unit 1|23 pencil columns E, normalized to unit Frobenius norm. Its
+    distance from the span of the projectors f_j f_j^dag (and likewise g) is
+    the leftover M - sum_j c_j f_j f_j^dag, with c solving the 4x4 Gram
+    system |F^dag F|^2 c = diag(F^dag M F); each leftover contributes its 64
+    hermitian_basis() coordinates, read from the matrix by index. Barrier
+    components keep the search off the degenerate strata (collapsing
+    weights, coinciding product vectors, rank drop) whose zeros would
+    otherwise dominate.
 
-    The residual is evaluated on a stack of parameter vectors (n, 68) at
-    once, with one stacked call per linear-algebra step; a single point is a
-    stack of one.
+    __call__ evaluates a stack of parameter vectors (n, 68) with one stacked
+    call per linear-algebra step; linearize adds the analytic Jacobian at
+    one point, from the same evaluation.
     """
 
     def __init__(self, signs: np.ndarray):
@@ -537,47 +583,196 @@ class _CompatibilityResidual:
 
     def __call__(self, thetas: np.ndarray, update_reference: bool = False):
         """(residuals (n, m), payload) for thetas (n, 68), or None when any
-        member of the stack is degenerate. The payload (psi, logw, e, f, g)
-        is stacked along the first axis; update_reference takes member 0's
-        columns as the reference for column matching."""
+        member of the stack is degenerate: a degenerate pencil, a column
+        norm below 1e-10, or a singular projector Gram matrix. The payload
+        (psi, logw, e, f, g) is stacked along the first axis;
+        update_reference takes member 0's columns as the reference for
+        column matching."""
+        point = self._evaluate(thetas, update_reference)
+        return None if point is None else (point.residuals, point.payload)
+
+    def linearize(self, theta: np.ndarray):
+        """(r, J, payload) at one parameter vector (68,), with J = dr/dtheta
+        of shape (m, 68); the point's columns become the reference. None
+        when the point is degenerate (as in __call__).
+
+        J is None when the derivative of a pencil eigenvector is not
+        trustworthy: when the smallest relative eigenvalue gap of the
+        pencils, min |l_i - l_j| / max |l_k| over the four eigenvalues l of
+        each of the three pencils, is below _PENCIL_GAP_FLOOR (the
+        derivative divides by l_j - l_i), or when a matrix it inverts (R of
+        the frame, B V of a pencil (A, B) with eigenvectors V, a Gram
+        matrix) is singular.
+        """
+        point = self._evaluate(theta[None], update_reference=True)
+        if point is None:
+            return None
+        payload = tuple(p[0] for p in point.payload)
+        try:
+            jac = self._jacobian(point)
+        except np.linalg.LinAlgError:
+            jac = None
+        return point.residuals[0], jac, payload
+
+    def _evaluate(self, thetas: np.ndarray, update_reference: bool) -> _Point | None:
         n = len(thetas)
         frames = (thetas[:, :32] + 1j * thetas[:, 32:64]).reshape(n, DIM, 4)
-        psi, _ = np.linalg.qr(frames)
+        psi, upper = np.linalg.qr(frames)
         logw = _WEIGHT_CAP * np.tanh(thetas[:, 64:] / _WEIGHT_CAP)
-        vecs = _pencil_columns(psi)
-        if vecs is None:
+        pencils = _pencil_eigs(psi[:, _TOP_ROWS].reshape(-1, 4, 4),
+                               psi[:, _BOTTOM_ROWS].reshape(-1, 4, 4))
+        if pencils is None:
             return None
-        if self.reference is not None:
-            vecs = _match_columns(vecs, self.reference)
+        eigvals, eigvecs = pencils[0].reshape(n, 3, 4), pencils[1].reshape(n, 3, 4, 4)
+        phis = psi[:, None] @ eigvecs
+        norms = np.linalg.norm(phis, axis=-2)
+        if norms.min() < 1e-10:
+            return None
+        vecs = phis / norms[..., None, :]
+        if self.reference is None:
+            order = np.broadcast_to(np.arange(4), norms.shape)
+        else:
+            order = _matching_order(vecs, self.reference)
+            vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+            norms = np.take_along_axis(norms, order, axis=-1)
         if update_reference:
             self.reference = vecs[0]
-        coords = _projector_coords(vecs)
-        combo = ((self.signs * np.exp(logw))[:, None, :] @ coords[:, 0])[:, 0]
-        combo = combo / np.linalg.norm(combo, axis=1, keepdims=True)
-        # distance of combo from the spans of the 2|13 and 3|12 projectors
-        qb, _ = np.linalg.qr(np.swapaxes(coords[:, 1:], -1, -2))
-        inside = qb @ (np.swapaxes(qb, -1, -2) @ combo[:, None, :, None])
-        residuals = (combo[:, None, :] - inside[..., 0]).reshape(n, -1)
-        gram = np.swapaxes(vecs.conj(), -1, -2) @ vecs
-        det = np.maximum(np.linalg.det(gram).real, 1e-300)
+        e, others = vecs[:, 0], vecs[:, 1:]
+        mats = (e * (self.signs * np.exp(logw))[:, None, :]) @ _adjoint(e)
+        scale = np.linalg.norm(mats, axis=(-2, -1))
+        mhat = mats / scale[:, None, None]
+        overlap = _adjoint(vecs) @ vecs
+        rhs = np.einsum("nkaj,nkaj->nkj", others.conj(), mhat[:, None] @ others).real
+        try:
+            coef = np.linalg.solve(np.abs(overlap[:, 1:]) ** 2, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            return None
+        left = mhat[:, None] - (others * coef[..., None, :]) @ _adjoint(others)
+        residuals = _hermitian_coords(left).reshape(n, -1)
+        det = np.maximum(np.linalg.det(overlap).real, 1e-300)
         barriers = [0.5 * np.maximum(0.0, _GRAM_LOG_FLOOR - np.log10(det))]
         if np.all(self.signs > 0):
-            basis = hermitian_basis().reshape(DIM * DIM, DIM * DIM)
-            mats = (combo @ basis).reshape(n, DIM, DIM)
-            ev4 = np.maximum(np.abs(np.linalg.eigvalsh(mats)[:, 4]), 1e-300)
+            ev4 = np.maximum(np.abs(np.linalg.eigvalsh(mhat)[:, 4]), 1e-300)
             rank_barrier = 0.5 * np.maximum(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4))
             barriers.append(rank_barrier[:, None])
         payload = (psi, logw, vecs[:, 0], vecs[:, 1], vecs[:, 2])
-        return np.concatenate([residuals, *barriers], axis=1), payload
+        return _Point(np.concatenate([residuals, *barriers], axis=1), payload, upper,
+                      eigvals, eigvecs, order, norms, mhat, scale, overlap, coef)
+
+    def _jacobian(self, point: _Point) -> np.ndarray | None:
+        """Forward-mode derivative (m, 68) of member 0's residual, or None
+        when a pencil's relative eigenvalue gap is below _PENCIL_GAP_FLOOR.
+
+        Tangent arrays carry the bipartition first and the parameter second,
+        so a product with one fixed matrix per bipartition is one matrix
+        product over all 68 tangents.
+        """
+        psi, logw, *cols = (p[0] for p in point.payload)
+        vecs, order = np.stack(cols), point.order[0]
+        # the pencil eigen-systems in matched column order
+        eigvals = np.take_along_axis(point.eigvals[0], order, axis=-1)
+        eigvecs = np.take_along_axis(point.eigvecs[0], order[:, None, :], axis=-1)
+        gaps = eigvals[:, None, :] - eigvals[:, :, None]        # l_j - l_i
+        off = ~np.eye(4, dtype=bool)
+        rel_gap = (np.abs(gaps[:, off]).min(axis=1) / np.abs(eigvals).max(axis=1)).min()
+        if not rel_gap >= _PENCIL_GAP_FLOOR:
+            return None
+
+        # Only the frame's span matters, and X + t dX = (psi + t dX R^-1) R,
+        # so the step dX = e_a e_c^T of the raw frame moves psi by e_a R^-1[c].
+        # For a pencil (A, B) of rows of psi, C = B^-1 A = V L V^-1 and
+        # Phi = psi V, V^-1 dC V is then the outer product of U[:, r]
+        # (U = (B V)^-1 = V^-1 B^-1, r the position of row a in its block) with
+        # Y[c] (Y = R^-1 V) when row a is in A, or with -Y[c] L when it is in B;
+        # dV = V (F o V^-1 dC V), F_ij = 1 / (l_j - l_i), and
+        # dPhi = e_a Y[c] + Phi (F o V^-1 dC V).
+        inv_gaps = np.zeros_like(gaps)
+        inv_gaps[:, off] = 1.0 / gaps[:, off]
+        phis = psi @ eigvecs
+        u_mat = np.linalg.inv(np.take_along_axis(phis, _BOTTOM_ROWS[:, :, None], axis=1))
+        y_mat = np.linalg.inv(point.upper[0]) @ eigvecs
+        s_mat = np.take_along_axis(u_mat, _BLOCK_POSITION[:, None, :], axis=2)
+        t_mat = np.where(_IN_TOP[:, :, None, None], y_mat[:, None],
+                         -(y_mat * eigvals[:, None, :])[:, None])
+        h_mat = np.einsum("kxi,kia,kij->kaxj", phis, s_mat, inv_gaps)
+        dphi = (h_mat[:, :, None] * t_mat[:, :, :, None, :]
+                + np.eye(DIM)[:, None, :, None] * y_mat[:, None, :, None, :])
+        # (bipartition, a, c, row, column) -> (bipartition, parameter, row,
+        # column); dPhi is complex-linear in dX, so an imaginary part moves it
+        # i times as far, and the log-weights do not move it
+        dphi = dphi.reshape(3, 32, DIM, 4)
+        dphi = np.concatenate([dphi, 1j * dphi, np.zeros((3, 4, DIM, 4))], axis=1)
+        n_par = dphi.shape[1]
+        # unit columns: d(phi / |phi|) = (dphi - v Re(v^dag dphi)) / |phi|
+        radial = (vecs.conj()[:, None] * dphi).sum(axis=-2).real
+        dvecs = (dphi - vecs[:, None] * radial[..., None, :]) / point.norms[0][:, None, None, :]
+
+        # M = E diag(s w) E^dag and its normalization
+        e, de = vecs[0], dvecs[0]
+        weighted = self.signs * np.exp(logw)
+        half = ((de * weighted).reshape(-1, 4) @ e.conj().T).reshape(n_par, DIM, DIM)
+        dm = half + _adjoint(half)
+        # the log-weights, through the tanh cap: dw_i = w_i (1 - (logw_i / cap)^2)
+        dm[64:] += ((weighted * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None, None]
+                    * (e.T[:, :, None] * e.T.conj()[:, None, :]))
+        mhat, scale = point.mhat[0], point.scale[0]
+        dscale = (dm.reshape(n_par, -1) @ mhat.conj().ravel()).real
+        dmhat = (dm - mhat * dscale[:, None, None]) / scale
+
+        # the leftovers M - F diag(c) F^dag, with |F^dag F|^2 c = diag(F^dag M F)
+        others, dothers = vecs[1:], dvecs[1:]
+        overlap, coef = point.overlap[0, 1:], point.coef[0]
+        dfdag_f = (_adjoint(dothers).reshape(2, -1, DIM) @ others).reshape(2, n_par, 4, 4)
+        dgram = 2.0 * (overlap.conj()[:, None] * (dfdag_f + _adjoint(dfdag_f))).real
+        drhs = 2.0 * (dothers.conj() * (mhat @ others)[:, None]).sum(axis=-2).real
+        dmhat_f = (dmhat.reshape(-1, DIM) @ np.concatenate(others, axis=1)).reshape(
+            n_par, DIM, 2, 4).transpose(2, 0, 1, 3)
+        drhs += (others.conj()[:, None] * dmhat_f).sum(axis=-2).real
+        dcoef = np.einsum("kij,ktj->kti", np.linalg.inv(np.abs(overlap) ** 2),
+                          drhs - np.einsum("ktij,kj->kti", dgram, coef))
+        half = ((dothers * coef[:, None, None, :]).reshape(2, -1, 4)
+                @ _adjoint(others)).reshape(2, n_par, DIM, DIM)
+        projs = np.swapaxes(others, 1, 2)
+        projs = (projs[..., :, None] * projs.conj()[..., None, :]).reshape(2, 4, -1)
+        dleft = (dmhat - half - _adjoint(half)
+                 - (dcoef @ projs).reshape(2, n_par, DIM, DIM))
+        jac = [np.swapaxes(_hermitian_coords(dleft), 1, 2).reshape(-1, n_par)]
+
+        # the barriers, only where active: d ln det G = 2 Re Tr(G^-1 V^dag dV)
+        r = point.residuals[0]
+        gram_active = r[128:131] > 0
+        dlogdet = np.zeros((3, n_par))
+        if gram_active.any():
+            vdv = _adjoint(vecs[gram_active])[:, None] @ dvecs[gram_active]
+            g_inv = np.linalg.inv(point.overlap[0][gram_active])
+            dlogdet[gram_active] = 2.0 * np.einsum("kij,ktji->kt", g_inv, vdv).real
+        jac.append(-0.5 * dlogdet / np.log(10.0))
+        if np.all(self.signs > 0):
+            drank = np.zeros((1, n_par))
+            if r[-1] > 0:
+                w, u = np.linalg.eigh(mhat)
+                dlam = (dmhat.reshape(n_par, -1) @ np.outer(u[:, 4].conj(), u[:, 4]).ravel()).real
+                drank[0] = -0.5 * dlam / (w[4] * np.log(10.0))
+            jac.append(drank)
+        return np.concatenate(jac)
 
 
 def compatible_subspace_search(rng: np.random.Generator, signs,
                                start_frame: np.ndarray | None = None,
                                inner_restarts: int = 2):
     """Levenberg-damped search for a subspace compatible with the given sign
-    pattern, at most 30 iterations per restart; returns (payload, f) with f
-    below _SEARCH_F_TARGET on success."""
-    best_payload, best_f = None, np.inf
+    pattern, at most 30 iterations per restart.
+
+    Each point the iteration reaches is linearized once
+    (_CompatibilityResidual.linearize: residual, analytic Jacobian and the
+    column-matching reference); damped trial steps are single-point
+    evaluations. A restart ends when no trial decreases f, or when the
+    Jacobian is refused for a pencil eigenvalue gap (see linearize).
+    Restart 0 starts from start_frame when one is given. Returns
+    (payload, f, restart) with f below _SEARCH_F_TARGET on success, restart
+    being the restart that produced the payload.
+    """
+    best_payload, best_f, best_restart = None, np.inf, None
     for restart in range(inner_restarts):
         residual = _CompatibilityResidual(np.asarray(signs))
         if start_frame is not None and restart == 0:
@@ -586,22 +781,16 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
             )
         else:
             theta = np.concatenate([rng.standard_normal(64), np.zeros(4)])
-        out = residual(theta[None], update_reference=True)
+        out = residual.linearize(theta)
         if out is None:
             continue
-        r, payload = out[0][0], tuple(p[0] for p in out[1])
+        r, jac, payload = out
         f = float(r @ r)
         damping = 1e-6
         n = theta.size
         for _ in range(30):
-            if f < _SEARCH_F_TARGET:
+            if f < _SEARCH_F_TARGET or jac is None:
                 break
-            # forward differences, all probes in one stack; one degenerate
-            # probe breaks the Jacobian
-            probes = residual(theta + _JACOBIAN_STEP * np.eye(n))
-            if probes is None:
-                break
-            jac = ((probes[0] - r) / _JACOBIAN_STEP).T
             normal = jac.T @ jac
             rhs = -jac.T @ r
             accepted = False
@@ -615,8 +804,8 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
                 if trial is not None and float(trial[0][0] @ trial[0][0]) < f:
                     theta = theta + step
                     theta[64:] -= theta[64:].mean()
-                    out = residual(theta[None], update_reference=True)
-                    r, payload = out[0][0], tuple(p[0] for p in out[1])
+                    # the frame, hence every degeneracy test, is the trial's
+                    r, jac, payload = residual.linearize(theta)
                     f = float(r @ r)
                     damping = max(damping / 5.0, 1e-10)
                     accepted = True
@@ -625,10 +814,10 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
             if not accepted:
                 break
         if f < best_f:
-            best_payload, best_f = payload, f
+            best_payload, best_f, best_restart = payload, f, restart
         if best_f < _SEARCH_F_TARGET:
             break
-    return best_payload, best_f
+    return best_payload, best_f, best_restart
 
 
 @dataclass
@@ -645,6 +834,9 @@ class BiseparableConstruction:
     singular_values: tuple[float, float]
     # rejected attempts by reason (see _REJECTIONS); they sum to attempts - 1
     rejections: dict[str, int]
+    # the accepted search started from a random isotropic subspace, not a
+    # random frame
+    isotropic_start: bool
 
     def __iter__(self):
         return iter((self.state, self.triple))
@@ -674,7 +866,8 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
     semidefinite state, so one attempt in eight survives the sign gate
     (sign_accepted / sign_decisions tracks the rate). One attempt in 16
     starts from a random isotropic subspace, which is where the
-    vanishing-invariant (type II) solutions live. Candidates are pinned to
+    vanishing-invariant (type II) solutions live; `isotropic_start` records
+    whether the accepted state's search began there. Candidates are pinned to
     the exact rank-4444 manifold before validation; outputs are extremal and
     entangled. Every turned-down attempt is counted under its reason in
     `rejections`. Raises MaxIterations after 400 attempts.
@@ -695,7 +888,7 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
             rejections["sign_gate"] += 1
             continue
         sign_accepted += 1
-        payload, f = compatible_subspace_search(rng, signs, start_frame=start)
+        payload, f, restart = compatible_subspace_search(rng, signs, start_frame=start)
         if payload is None or f > _SEARCH_F_TARGET:
             rejections["search_not_converged"] += 1
             continue
@@ -744,6 +937,7 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
             classification=classification,
             singular_values=(s1, s2),
             rejections=rejections,
+            isotropic_start=start is not None and restart == 0,
         )
     raise MaxIterations(
         f"no accepted construction within {_CONSTRUCTION_MAX_ATTEMPTS} attempts; "

@@ -87,6 +87,7 @@ def test_criterion_04_biseparable_family():
     all_ok = True
     decisions = 0
     accepted = 0
+    isotropic_type2 = 0
     detail = ""
     for k, child in enumerate(np.random.SeedSequence(404).spawn(100)):
         rng = np.random.default_rng(child)
@@ -106,6 +107,7 @@ def test_criterion_04_biseparable_family():
             detail = f"run {k}: profile {profile.ranks}"
             break
         types.append(result.classification)
+        isotropic_type2 += result.isotropic_start and result.classification == "II"
     elapsed = time.time() - start
     rate = accepted / max(decisions, 1)
     both = "I" in types and "II" in types
@@ -114,7 +116,8 @@ def test_criterion_04_biseparable_family():
     ok = (all_ok and len(types) == 100 and both and majority_type_one
           and bracket and elapsed < 1800.0)
     report(4, "rank-4444 family reproduction", ok,
-           detail or f"type I x{types.count('I')}, type II x{types.count('II')}, "
+           detail or f"type I x{types.count('I')}, type II x{types.count('II')} "
+                     f"({isotropic_type2} from isotropic starts), "
                      f"acceptance {accepted}/{decisions} = {rate:.3f}, {elapsed:.0f}s")
 
 

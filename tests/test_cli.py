@@ -6,6 +6,7 @@ import pytest
 from pptatlas import cli
 from pptatlas import qstate as qs
 from pptatlas.config import Tolerances
+from pptatlas.extremal import rank_square_bound
 from pptatlas.rank4 import construct_type2
 
 from conftest import random_separable
@@ -85,7 +86,14 @@ class TestCensus:
         report = cli.CensusReport.from_records(
             [cli.annotate_state(qs.HermitianOperator(np.eye(8) / 8), {"m": "x"})])
         assert report.rows[0].profile == "8888"
-        assert report.rows[0].reference_status == "confirmed"
+        assert report.rows[0].reference_status == "confirmed_nonextremal_only"
+
+    def test_no_extremal_reference_beyond_the_bound(self):
+        """The square-sum bound rules out extremal states above 193, so no
+        reference profile there can claim extremal examples."""
+        for key, extremal_known in cli.REFERENCE_CENSUS.items():
+            if extremal_known:
+                assert rank_square_bound(tuple(int(c) for c in key)).square_sum <= 193, key
 
     def test_reported_absent_combinations(self):
         assert all(key in cli.REPORTED_ABSENT for key in ("5568", "5588", "5888"))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptatlas import extremal as ex
 from pptatlas import invariants as inv
@@ -97,6 +99,10 @@ class _ReferenceResidual:
         return np.concatenate([residuals[0], residuals[1], np.array(barriers)])
 
 
+# forward-difference step for the nearby probe points of the stack tests
+_STEP = 1e-7
+
+
 def _search_point(seed):
     rng = np.random.default_rng(seed)
     return np.concatenate([rng.standard_normal(64), 0.3 * rng.standard_normal(4)])
@@ -112,7 +118,7 @@ class TestCompatibilityResidual:
         assert np.abs(r0[0] - reference(theta, update_reference=True)).max() < 1e-13
         for block, bp in zip(payload[2:], pv.BIPARTITIONS):
             assert np.abs(block[0] - reference.reference[bp]).max() < 1e-13
-        probes = theta + r4._JACOBIAN_STEP * np.eye(68)
+        probes = theta + _STEP * np.eye(68)
         rows, _ = stacked(probes)
         assert rows.shape == (68, r0.shape[1])
         for row, probe in zip(rows, probes):
@@ -120,7 +126,7 @@ class TestCompatibilityResidual:
 
     def test_jacobian_matches_column_by_column(self):
         theta = _search_point(8)
-        step = r4._JACOBIAN_STEP
+        step = _STEP
         stacked = r4._CompatibilityResidual(np.ones(4))
         reference = _ReferenceResidual(np.ones(4))
         r = stacked(theta[None], update_reference=True)[0][0]
@@ -137,7 +143,7 @@ class TestCompatibilityResidual:
         theta = _search_point(9)
         stacked = r4._CompatibilityResidual(np.ones(4))
         assert stacked(theta[None], update_reference=True) is not None
-        probes = theta + r4._JACOBIAN_STEP * np.eye(68)
+        probes = theta + _STEP * np.eye(68)
         assert stacked(probes) is not None
         # a non-finite frame: its pencils have no finite eigenvectors
         probes[17, 3] = np.nan
@@ -158,6 +164,177 @@ class TestCompatibilityResidual:
         reference = _ReferenceResidual(np.ones(4))
         for row, probe in zip(rows, probes):
             assert np.abs(row - reference(probe)).max() < 1e-13
+
+
+def _central_jacobian(reference, theta, h=1e-6):
+    """Central differences of the reference residual, matched against the
+    columns the reference holds."""
+    cols = []
+    for j in range(68):
+        shift = np.zeros(68)
+        shift[j] = h
+        cols.append((reference(theta + shift) - reference(theta - shift)) / (2 * h))
+    return np.array(cols).T
+
+
+def _assert_jacobian_matches(signs, theta, r, jac, payload):
+    reference = _ReferenceResidual(np.array(signs))
+    reference.reference = dict(zip(pv.BIPARTITIONS, payload[2:]))
+    assert np.abs(r - reference(theta)).max() < 1e-13
+    expected = _central_jacobian(reference, theta)
+    assert np.abs(jac - expected).max() < 1e-6 * np.abs(expected).max()
+
+
+def _repeated_eigenvalue_frame(seed):
+    """Parameters whose 1|23 pencil has the eigenvalue 1 twice: the first
+    two frame columns are (|0> + |1>) x (random vector of C^4)."""
+    rng = np.random.default_rng(seed)
+    frame = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    frame[4:, :2] = frame[:4, :2]
+    return np.concatenate([frame.real.ravel(), frame.imag.ravel(), np.zeros(4)])
+
+
+class TestCompatibilityJacobian:
+    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, 1, -1, 1)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_central_differences(self, signs, seed):
+        theta = _search_point(100 + seed)
+        residual = r4._CompatibilityResidual(np.array(signs))
+        r, jac, payload = residual.linearize(theta)
+        assert jac.shape == (r.size, 68)
+        _assert_jacobian_matches(signs, theta, r, jac, payload)
+
+    def test_matches_central_differences_with_rank_barrier_active(self):
+        """At points the search visits the rank barrier is often active;
+        take the first one whose barrier is far from its kink at 0."""
+        visited = []
+        linearize = r4._CompatibilityResidual.linearize
+
+        def spy(self, theta):
+            out = linearize(self, theta)
+            visited.append((theta.copy(), out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(r4._CompatibilityResidual, "linearize", spy)
+            r4.compatible_subspace_search(np.random.default_rng(3), np.ones(4),
+                                          inner_restarts=1)
+        active = [(theta, out) for theta, out in visited if out[0][-1] > 1e-3]
+        assert active
+        theta, (r, jac, payload) = active[0]
+        assert np.abs(jac[-1]).max() > 0
+        _assert_jacobian_matches((1, 1, 1, 1), theta, r, jac, payload)
+
+    def test_matches_central_differences_with_gram_barriers_active(self, monkeypatch):
+        # the Gram determinant of unit columns is at most 1, so a floor of 0
+        # makes all three barriers active
+        monkeypatch.setattr(r4, "_GRAM_LOG_FLOOR", 0.0)
+        for signs in ((1, 1, 1, 1), (1, 1, -1, 1)):
+            theta = _search_point(110)
+            residual = r4._CompatibilityResidual(np.array(signs))
+            r, jac, payload = residual.linearize(theta)
+            assert np.all(r[128:131] > 0)
+            _assert_jacobian_matches(signs, theta, r, jac, payload)
+
+    def test_repeated_pencil_eigenvalue_refuses_the_jacobian(self):
+        theta = _repeated_eigenvalue_frame(4)
+        residual = r4._CompatibilityResidual(np.ones(4))
+        r, jac, _ = residual.linearize(theta)
+        assert np.all(np.isfinite(r))
+        assert jac is None
+        # a step away the gap is open again
+        assert residual.linearize(theta + 1e-3 * _search_point(5))[1] is not None
+
+    def test_refused_jacobian_ends_the_restart(self):
+        frame = _repeated_eigenvalue_frame(4)
+        rows = r4._CompatibilityResidual(np.ones(4))(frame[None])[0]
+        start = (frame[:32] + 1j * frame[32:64]).reshape(8, 4)
+        payload, f, restart = r4.compatible_subspace_search(
+            np.random.default_rng(0), np.ones(4), start_frame=start, inner_restarts=1)
+        assert restart == 0
+        assert f == float(rows[0] @ rows[0])
+        assert np.array_equal(payload[0], np.linalg.qr(start)[0])
+
+    def test_singular_gram_is_a_rejected_point(self, monkeypatch):
+        """A projector Gram system that cannot be solved makes the point
+        degenerate instead of raising."""
+        solve = np.linalg.solve
+
+        def singular_gram(a, b):
+            if not np.iscomplexobj(a) and a.shape[-3:] == (2, 4, 4):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        theta = _search_point(12)
+        residual = r4._CompatibilityResidual(np.ones(4))
+        monkeypatch.setattr(np.linalg, "solve", singular_gram)
+        assert residual(theta[None]) is None
+        assert residual.linearize(theta) is None
+
+
+class TestCompatibilitySearchCalls:
+    def test_one_point_per_call_and_one_linearization_per_step(self):
+        """No evaluation stacks probe points: every call evaluates one point,
+        and each linearization after a restart's first follows at least one
+        trial (so there is one per iteration)."""
+        events = []
+        call, linearize = r4._CompatibilityResidual.__call__, r4._CompatibilityResidual.linearize
+
+        def spy_call(self, thetas, update_reference=False):
+            events.append((id(self), "trial", len(thetas)))
+            return call(self, thetas, update_reference)
+
+        def spy_linearize(self, theta):
+            events.append((id(self), "linearize", theta.ndim))
+            return linearize(self, theta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(r4._CompatibilityResidual, "__call__", spy_call)
+            mp.setattr(r4._CompatibilityResidual, "linearize", spy_linearize)
+            r4.compatible_subspace_search(np.random.default_rng(1), np.ones(4))
+        assert all(size == 1 for _, kind, size in events if kind == "trial")
+        assert all(ndim == 1 for _, kind, ndim in events if kind == "linearize")
+        restarts = {}
+        for owner, kind, _ in events:
+            restarts.setdefault(owner, []).append(kind)
+        for kinds in restarts.values():
+            assert kinds[0] == "linearize"
+            linearizations = [i for i, kind in enumerate(kinds) if kind == "linearize"]
+            assert len(linearizations) <= 31
+            assert all(b - a > 1 for a, b in zip(linearizations, linearizations[1:]))
+        assert sum(kinds.count("linearize") for kinds in restarts.values()) > 2
+
+
+_finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    parts = draw(st.lists(_finite, min_size=128, max_size=128))
+    raw = np.array(parts[:64]).reshape(8, 8) + 1j * np.array(parts[64:]).reshape(8, 8)
+    return raw + raw.conj().T
+
+
+class TestHermitianCoords:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_hermitian_matrices())
+    def test_gather_equals_mat_to_coords(self, mat):
+        expected = qs.mat_to_coords(mat)
+        assert np.abs(r4._hermitian_coords(mat) - expected).max() <= 1e-13 * (
+            1.0 + np.abs(expected).max())
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_hermitian_matrices())
+    def test_norm_is_frobenius(self, mat):
+        norm = np.linalg.norm(mat)
+        assert abs(np.linalg.norm(r4._hermitian_coords(mat)) - norm) <= 1e-13 * (1.0 + norm)
+
+    def test_stack_reads_each_member(self, rng):
+        mats = rng.standard_normal((2, 3, 8, 8)) + 1j * rng.standard_normal((2, 3, 8, 8))
+        mats = mats + np.swapaxes(mats.conj(), -1, -2)
+        coords = r4._hermitian_coords(mats)
+        assert coords.shape == (2, 3, 64)
+        assert np.abs(coords[1, 2] - qs.mat_to_coords(mats[1, 2])).max() < 1e-13
 
 
 class TestClassifyType:
@@ -398,6 +575,15 @@ class TestConstructBiseparable:
         assert sum(result.rejections.values()) == result.attempts - 1
         assert (result.rejections["sign_gate"]
                 == result.sign_decisions - result.sign_accepted)
+        assert not result.isotropic_start
+
+    def test_start_kind_is_recorded(self):
+        """Type II states come from isotropic starts and, more rarely, from
+        random frames; the construction says which."""
+        isotropic = r4.construct_biseparable(np.random.default_rng(503))
+        assert isotropic.isotropic_start and isotropic.classification == "II"
+        random_frame = r4.construct_biseparable(np.random.default_rng(515))
+        assert not random_frame.isotropic_start and random_frame.classification == "II"
 
     def test_generic_subspace_has_no_dependence(self, rng):
         """Without minimization the two dependence tests fail by a wide margin."""
@@ -421,6 +607,6 @@ class TestConstructBiseparable:
         """Searches with a mixed sign pattern converge: the matrix is then
         biseparable in two ways but cannot be positive semidefinite."""
         rng = np.random.default_rng(11)
-        _, f = r4.compatible_subspace_search(rng, np.array([1.0, 1.0, -1.0, 1.0]),
-                                             inner_restarts=4)
+        _, f, _ = r4.compatible_subspace_search(rng, np.array([1.0, 1.0, -1.0, 1.0]),
+                                                inner_restarts=4)
         assert f < 3e-8
