@@ -532,27 +532,38 @@ _PENCIL_GAP_FLOOR = 1e-8   # smallest relative pencil-eigenvalue gap the Jacobia
 # pencil blocks of the frame rows, one per bipartition: (3, 4) row indices
 _TOP_ROWS = np.array([_ROW_SPLITS[bp][0] for bp in BIPARTITIONS])
 _BOTTOM_ROWS = np.array([_ROW_SPLITS[bp][1] for bp in BIPARTITIONS])
-# per bipartition, whether each frame row is in the top block, and its
-# position within its block: (3, 8)
-_IN_TOP = np.array([np.isin(np.arange(DIM), top) for top in _TOP_ROWS])
-_BLOCK_POSITION = np.argsort(np.concatenate([_TOP_ROWS, _BOTTOM_ROWS], axis=1), axis=1) % 4
 
 
-class _Point(NamedTuple):
-    """One evaluation of the compatibility residual on a stack of n
-    parameter vectors, with the intermediates its linearization reuses."""
+class _Frame(NamedTuple):
+    """The frame half of an evaluation of n parameter vectors: what depends
+    only on theta[:, :64] and the column-matching reference."""
 
-    residuals: np.ndarray    # (n, m)
-    payload: tuple           # psi, logw, e, f, g, stacked along n
+    psi: np.ndarray          # orthonormal frame, (n, 8, 4)
     upper: np.ndarray        # R of the frame QR, (n, 4, 4)
     eigvals: np.ndarray      # pencil eigenvalues in solver order, (n, 3, 4)
     eigvecs: np.ndarray      # pencil eigenvectors in solver order, (n, 3, 4, 4)
     order: np.ndarray        # matching column order, (n, 3, 4)
     norms: np.ndarray        # matched pencil column norms before normalizing, (n, 3, 4)
+    vecs: np.ndarray         # matched unit pencil columns e, f, g, (n, 3, 8, 4)
+    overlap: np.ndarray      # column overlaps V^dag V per bipartition, (n, 3, 4, 4)
+    gram: np.ndarray         # Gram-determinant barriers, (n, 3)
+
+
+class _Point(NamedTuple):
+    """One evaluation of n parameter vectors: the frame half, then the
+    candidate half, with the intermediates the Jacobian reuses."""
+
+    frame: _Frame
+    logw: np.ndarray         # capped log-weights, (n, 4)
     mhat: np.ndarray         # normalized candidate E diag(s w) E^dag / norm, (n, 8, 8)
     scale: np.ndarray        # its Frobenius norm before normalizing, (n,)
-    overlap: np.ndarray      # column overlaps V^dag V per bipartition, (n, 3, 4, 4)
     coef: np.ndarray         # 2|13 and 3|12 projector coefficients, (n, 2, 4)
+    residuals: np.ndarray    # (n, m)
+
+    @property
+    def payload(self) -> tuple:     # psi, logw, e, f, g, stacked along n
+        vecs = self.frame.vecs
+        return self.frame.psi, self.logw, vecs[:, 0], vecs[:, 1], vecs[:, 2]
 
 
 class _CompatibilityResidual:
@@ -560,9 +571,9 @@ class _CompatibilityResidual:
     prescribed sign pattern that is simultaneously a combination of the
     product bases of all three bipartitions.
 
-    Parameters are a raw 8x4 frame (orthonormalized by QR) plus four bounded
-    log-weights, 68 reals. The candidate is M = E diag(s w) E^dag over the
-    unit 1|23 pencil columns E, normalized to unit Frobenius norm. Its
+    Parameters are a raw 8x4 frame X (orthonormalized by QR) plus four
+    bounded log-weights, 68 reals. The candidate is M = E diag(s w) E^dag over
+    the unit 1|23 pencil columns E, normalized to unit Frobenius norm. Its
     distance from the span of the projectors f_j f_j^dag (and likewise g) is
     the leftover M - sum_j c_j f_j f_j^dag, with c solving the 4x4 Gram
     system |F^dag F|^2 c = diag(F^dag M F); each leftover contributes its 64
@@ -571,9 +582,16 @@ class _CompatibilityResidual:
     weights, coinciding product vectors, rank drop) whose zeros would
     otherwise dominate.
 
-    __call__ evaluates a stack of parameter vectors (n, 68) with one stacked
-    call per linear-algebra step; linearize adds the analytic Jacobian at
-    one point, from the same evaluation.
+    The residual sees the frame only through its span (pencil columns move
+    covariantly with the frame and enter through projectors and overlap
+    moduli), so the 32 vertical directions dX = psi W are null. jacobian
+    differentiates along the other 36, orthonormal in theta: dX = P Z, with
+    P an orthonormal basis of span(psi)^perp and Z complex 4x4, and the four
+    log-weights. All four stay: the weight scaling M's normalization ignores
+    is a common shift of theta[64:] only where the tanh cap acts equally.
+
+    __call__ evaluates a stack (n, 68) with one stacked call per linear-algebra
+    step; accept recomputes only the candidate half of an evaluation (_Point).
     """
 
     def __init__(self, signs: np.ndarray):
@@ -591,34 +609,16 @@ class _CompatibilityResidual:
         point = self._evaluate(thetas, update_reference)
         return None if point is None else (point.residuals, point.payload)
 
-    def linearize(self, theta: np.ndarray):
-        """(r, J, payload) at one parameter vector (68,), with J = dr/dtheta
-        of shape (m, 68); the point's columns become the reference. None
-        when the point is degenerate (as in __call__).
-
-        J is None when the derivative of a pencil eigenvector is not
-        trustworthy: when the smallest relative eigenvalue gap of the
-        pencils, min |l_i - l_j| / max |l_k| over the four eigenvalues l of
-        each of the three pencils, is below _PENCIL_GAP_FLOOR (the
-        derivative divides by l_j - l_i), or when a matrix it inverts (R of
-        the frame, B V of a pencil (A, B) with eigenvectors V, a Gram
-        matrix) is singular.
-        """
-        point = self._evaluate(theta[None], update_reference=True)
-        if point is None:
-            return None
-        payload = tuple(p[0] for p in point.payload)
-        try:
-            jac = self._jacobian(point)
-        except np.linalg.LinAlgError:
-            jac = None
-        return point.residuals[0], jac, payload
+    def accept(self, point: _Point, theta: np.ndarray) -> _Point:
+        """The point at theta (68,), point's member 0 with other log-weights, whose
+        columns become the reference; not degenerate, for its frame half is point's."""
+        self.reference = point.frame.vecs[0]
+        return self._weigh(point.frame, theta[None])
 
     def _evaluate(self, thetas: np.ndarray, update_reference: bool) -> _Point | None:
         n = len(thetas)
         frames = (thetas[:, :32] + 1j * thetas[:, 32:64]).reshape(n, DIM, 4)
         psi, upper = np.linalg.qr(frames)
-        logw = _WEIGHT_CAP * np.tanh(thetas[:, 64:] / _WEIGHT_CAP)
         pencils = _pencil_eigs(psi[:, _TOP_ROWS].reshape(-1, 4, 4),
                                psi[:, _BOTTOM_ROWS].reshape(-1, 4, 4))
         if pencils is None:
@@ -637,83 +637,87 @@ class _CompatibilityResidual:
             norms = np.take_along_axis(norms, order, axis=-1)
         if update_reference:
             self.reference = vecs[0]
-        e, others = vecs[:, 0], vecs[:, 1:]
+        overlap = _adjoint(vecs) @ vecs
+        det = np.maximum(np.linalg.det(overlap).real, 1e-300)
+        gram = 0.5 * np.maximum(0.0, _GRAM_LOG_FLOOR - np.log10(det))
+        return self._weigh(_Frame(psi, upper, eigvals, eigvecs, order, norms, vecs, overlap,
+                                  gram), thetas)
+
+    def _weigh(self, frame: _Frame, thetas: np.ndarray) -> _Point | None:
+        """The candidate half at thetas' log-weights; None for a singular Gram system."""
+        logw = _WEIGHT_CAP * np.tanh(thetas[:, 64:] / _WEIGHT_CAP)
+        e, others = frame.vecs[:, 0], frame.vecs[:, 1:]
         mats = (e * (self.signs * np.exp(logw))[:, None, :]) @ _adjoint(e)
         scale = np.linalg.norm(mats, axis=(-2, -1))
         mhat = mats / scale[:, None, None]
-        overlap = _adjoint(vecs) @ vecs
         rhs = np.einsum("nkaj,nkaj->nkj", others.conj(), mhat[:, None] @ others).real
         try:
-            coef = np.linalg.solve(np.abs(overlap[:, 1:]) ** 2, rhs[..., None])[..., 0]
+            coef = np.linalg.solve(np.abs(frame.overlap[:, 1:]) ** 2, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             return None
         left = mhat[:, None] - (others * coef[..., None, :]) @ _adjoint(others)
-        residuals = _hermitian_coords(left).reshape(n, -1)
-        det = np.maximum(np.linalg.det(overlap).real, 1e-300)
-        barriers = [0.5 * np.maximum(0.0, _GRAM_LOG_FLOOR - np.log10(det))]
+        residuals = [_hermitian_coords(left).reshape(len(thetas), -1), frame.gram]
         if np.all(self.signs > 0):
             ev4 = np.maximum(np.abs(np.linalg.eigvalsh(mhat)[:, 4]), 1e-300)
             rank_barrier = 0.5 * np.maximum(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4))
-            barriers.append(rank_barrier[:, None])
-        payload = (psi, logw, vecs[:, 0], vecs[:, 1], vecs[:, 2])
-        return _Point(np.concatenate([residuals, *barriers], axis=1), payload, upper,
-                      eigvals, eigvecs, order, norms, mhat, scale, overlap, coef)
+            residuals.append(rank_barrier[:, None])
+        return _Point(frame, logw, mhat, scale, coef, np.concatenate(residuals, axis=1))
 
-    def _jacobian(self, point: _Point) -> np.ndarray | None:
-        """Forward-mode derivative (m, 68) of member 0's residual, or None
-        when a pencil's relative eigenvalue gap is below _PENCIL_GAP_FLOOR.
+    def jacobian(self, point: _Point) -> tuple[np.ndarray, np.ndarray]:
+        """(J, basis) at point's member 0: the rows of basis (36, 68) are the
+        directions in theta, and J = dr/ds (m, 36) along them, so a step s
+        moves theta by s @ basis. Tangents carry the bipartition first.
 
-        Tangent arrays carry the bipartition first and the parameter second,
-        so a product with one fixed matrix per bipartition is one matrix
-        product over all 68 tangents.
+        Raises LinAlgError when the derivative of a pencil eigenvector is not
+        trustworthy: when min |l_i - l_j| / max |l_k| over the eigenvalues l
+        of each pencil is below _PENCIL_GAP_FLOOR (the derivative divides by
+        l_j - l_i), or when a matrix it inverts (R of the frame, B V of a
+        pencil (A, B) with eigenvectors V, a Gram matrix) is singular.
         """
-        psi, logw, *cols = (p[0] for p in point.payload)
-        vecs, order = np.stack(cols), point.order[0]
+        frame = point.frame
+        psi, vecs, order = frame.psi[0], frame.vecs[0], frame.order[0]
         # the pencil eigen-systems in matched column order
-        eigvals = np.take_along_axis(point.eigvals[0], order, axis=-1)
-        eigvecs = np.take_along_axis(point.eigvecs[0], order[:, None, :], axis=-1)
+        eigvals = np.take_along_axis(frame.eigvals[0], order, axis=-1)
+        eigvecs = np.take_along_axis(frame.eigvecs[0], order[:, None, :], axis=-1)
         gaps = eigvals[:, None, :] - eigvals[:, :, None]        # l_j - l_i
         off = ~np.eye(4, dtype=bool)
         rel_gap = (np.abs(gaps[:, off]).min(axis=1) / np.abs(eigvals).max(axis=1)).min()
         if not rel_gap >= _PENCIL_GAP_FLOOR:
-            return None
+            raise np.linalg.LinAlgError(f"relative pencil eigenvalue gap {rel_gap:.1e}")
 
-        # Only the frame's span matters, and X + t dX = (psi + t dX R^-1) R,
-        # so the step dX = e_a e_c^T of the raw frame moves psi by e_a R^-1[c].
-        # For a pencil (A, B) of rows of psi, C = B^-1 A = V L V^-1 and
-        # Phi = psi V, V^-1 dC V is then the outer product of U[:, r]
-        # (U = (B V)^-1 = V^-1 B^-1, r the position of row a in its block) with
-        # Y[c] (Y = R^-1 V) when row a is in A, or with -Y[c] L when it is in B;
-        # dV = V (F o V^-1 dC V), F_ij = 1 / (l_j - l_i), and
-        # dPhi = e_a Y[c] + Phi (F o V^-1 dC V).
+        # X + t dX = (psi + t dX R^-1) R and only the span matters, so the
+        # step dX = P Z moves psi by P Z R^-1. For a pencil (A, B) of rows of
+        # psi, C = B^-1 A = V L V^-1 and Phi = psi V:
+        # V^-1 dC V = U (P_A Z Y - P_B Z Y L), with U = (B V)^-1, Y = R^-1 V
+        # and P_A, P_B the rows of P in A and B; dV = V (F o V^-1 dC V) with
+        # F_ij = 1 / (l_j - l_i); and dPhi = P Z Y + Phi (F o V^-1 dC V).
+        # For Z = e_b e_c^T this factorizes as dPhi[x, j] = K[b, x, j] Y[c, j].
+        perp = np.linalg.qr(psi, mode="complete")[0][:, 4:]
         inv_gaps = np.zeros_like(gaps)
         inv_gaps[:, off] = 1.0 / gaps[:, off]
         phis = psi @ eigvecs
         u_mat = np.linalg.inv(np.take_along_axis(phis, _BOTTOM_ROWS[:, :, None], axis=1))
-        y_mat = np.linalg.inv(point.upper[0]) @ eigvecs
-        s_mat = np.take_along_axis(u_mat, _BLOCK_POSITION[:, None, :], axis=2)
-        t_mat = np.where(_IN_TOP[:, :, None, None], y_mat[:, None],
-                         -(y_mat * eigvals[:, None, :])[:, None])
-        h_mat = np.einsum("kxi,kia,kij->kaxj", phis, s_mat, inv_gaps)
-        dphi = (h_mat[:, :, None] * t_mat[:, :, :, None, :]
-                + np.eye(DIM)[:, None, :, None] * y_mat[:, None, :, None, :])
-        # (bipartition, a, c, row, column) -> (bipartition, parameter, row,
-        # column); dPhi is complex-linear in dX, so an imaginary part moves it
-        # i times as far, and the log-weights do not move it
-        dphi = dphi.reshape(3, 32, DIM, 4)
+        y_mat = np.linalg.inv(frame.upper[0]) @ eigvecs
+        u_top, u_bottom = u_mat @ perp[_TOP_ROWS], u_mat @ perp[_BOTTOM_ROWS]
+        inner = inv_gaps[..., None] * (u_top[:, :, None] - eigvals[:, None, :, None]
+                                       * u_bottom[:, :, None])
+        k_mat = perp.T[:, :, None] + np.einsum("kxi,kijb->kbxj", phis, inner)
+        dphi = (k_mat[:, :, None] * y_mat[:, None, :, None, :]).reshape(3, 16, DIM, 4)
+        # dPhi is complex-linear in Z, so an imaginary Z moves it i times as
+        # far, and the log-weights do not move it
         dphi = np.concatenate([dphi, 1j * dphi, np.zeros((3, 4, DIM, 4))], axis=1)
         n_par = dphi.shape[1]
         # unit columns: d(phi / |phi|) = (dphi - v Re(v^dag dphi)) / |phi|
         radial = (vecs.conj()[:, None] * dphi).sum(axis=-2).real
-        dvecs = (dphi - vecs[:, None] * radial[..., None, :]) / point.norms[0][:, None, None, :]
+        dvecs = (dphi - vecs[:, None] * radial[..., None, :]) / frame.norms[0][:, None, None, :]
 
         # M = E diag(s w) E^dag and its normalization
-        e, de = vecs[0], dvecs[0]
+        e, de, logw = vecs[0], dvecs[0], point.logw[0]
         weighted = self.signs * np.exp(logw)
         half = ((de * weighted).reshape(-1, 4) @ e.conj().T).reshape(n_par, DIM, DIM)
         dm = half + _adjoint(half)
         # the log-weights, through the tanh cap: dw_i = w_i (1 - (logw_i / cap)^2)
-        dm[64:] += ((weighted * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None, None]
+        dm[32:] += ((weighted * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None, None]
                     * (e.T[:, :, None] * e.T.conj()[:, None, :]))
         mhat, scale = point.mhat[0], point.scale[0]
         dscale = (dm.reshape(n_par, -1) @ mhat.conj().ravel()).real
@@ -721,7 +725,7 @@ class _CompatibilityResidual:
 
         # the leftovers M - F diag(c) F^dag, with |F^dag F|^2 c = diag(F^dag M F)
         others, dothers = vecs[1:], dvecs[1:]
-        overlap, coef = point.overlap[0, 1:], point.coef[0]
+        overlap, coef = frame.overlap[0, 1:], point.coef[0]
         dfdag_f = (_adjoint(dothers).reshape(2, -1, DIM) @ others).reshape(2, n_par, 4, 4)
         dgram = 2.0 * (overlap.conj()[:, None] * (dfdag_f + _adjoint(dfdag_f))).real
         drhs = 2.0 * (dothers.conj() * (mhat @ others)[:, None]).sum(axis=-2).real
@@ -744,7 +748,7 @@ class _CompatibilityResidual:
         dlogdet = np.zeros((3, n_par))
         if gram_active.any():
             vdv = _adjoint(vecs[gram_active])[:, None] @ dvecs[gram_active]
-            g_inv = np.linalg.inv(point.overlap[0][gram_active])
+            g_inv = np.linalg.inv(frame.overlap[0][gram_active])
             dlogdet[gram_active] = 2.0 * np.einsum("kij,ktji->kt", g_inv, vdv).real
         jac.append(-0.5 * dlogdet / np.log(10.0))
         if np.all(self.signs > 0):
@@ -754,70 +758,86 @@ class _CompatibilityResidual:
                 dlam = (dmhat.reshape(n_par, -1) @ np.outer(u[:, 4].conj(), u[:, 4]).ravel()).real
                 drank[0] = -0.5 * dlam / (w[4] * np.log(10.0))
             jac.append(drank)
-        return np.concatenate(jac)
+        basis = np.zeros((36, 68))      # row 4b + c: dX = P e_b e_c^T as (Re, Im)
+        frame_rows = basis[:16, :64].reshape(4, 4, 2, DIM, 4)
+        for c in range(4):
+            frame_rows[:, c, 0, :, c], frame_rows[:, c, 1, :, c] = perp.real.T, perp.imag.T
+        basis[16:32, :32], basis[16:32, 32:64] = -basis[:16, 32:64], basis[:16, :32]
+        basis[32:, 64:] = np.eye(4)
+        return np.concatenate(jac), basis
+
+
+class CompatibilitySearch(NamedTuple):
+    """Outcome of compatible_subspace_search, with f at index 1."""
+
+    payload: tuple | None    # psi, logw, e, f, g at the best restart's last point
+    f: float                 # below _SEARCH_F_TARGET on success
+    restart: int | None      # the restart that produced the payload
+    jacobians: int           # Jacobians asked for, over all restarts
+    evaluations: int         # full residual evaluations: starts and trial points
 
 
 def compatible_subspace_search(rng: np.random.Generator, signs,
                                start_frame: np.ndarray | None = None,
-                               inner_restarts: int = 2):
+                               inner_restarts: int = 2) -> CompatibilitySearch:
     """Levenberg-damped search for a subspace compatible with the given sign
     pattern, at most 30 iterations per restart.
 
-    Each point the iteration reaches is linearized once
-    (_CompatibilityResidual.linearize: residual, analytic Jacobian and the
-    column-matching reference); damped trial steps are single-point
-    evaluations. A restart ends when no trial decreases f, or when the
-    Jacobian is refused for a pencil eigenvalue gap (see linearize).
-    Restart 0 starts from start_frame when one is given. Returns
-    (payload, f, restart) with f below _SEARCH_F_TARGET on success, restart
-    being the restart that produced the payload.
+    Each iteration differentiates the current point along 36 directions
+    (_CompatibilityResidual.jacobian), solves the 36x36 damped normal
+    equations and maps the step back to the 68 raw parameters. Trials are
+    single-point evaluations; recentring an accepted trial's log-weights
+    reuses its frame half (accept). No Jacobian is taken where no step
+    follows. A restart ends when no trial decreases f, or when the Jacobian
+    is refused. Restart 0 starts from start_frame when one is given.
     """
     best_payload, best_f, best_restart = None, np.inf, None
+    jacobians = evaluations = 0
     for restart in range(inner_restarts):
         residual = _CompatibilityResidual(np.asarray(signs))
-        if start_frame is not None and restart == 0:
-            theta = np.concatenate(
-                [start_frame.real.ravel(), start_frame.imag.ravel(), np.zeros(4)]
-            )
-        else:
-            theta = np.concatenate([rng.standard_normal(64), np.zeros(4)])
-        out = residual.linearize(theta)
-        if out is None:
+        raw = (rng.standard_normal(64) if start_frame is None or restart
+               else np.concatenate([start_frame.real.ravel(), start_frame.imag.ravel()]))
+        theta = np.concatenate([raw, np.zeros(4)])
+        point = residual._evaluate(theta[None], True)
+        evaluations += 1
+        if point is None:
             continue
-        r, jac, payload = out
-        f = float(r @ r)
+        f = float(point.residuals[0] @ point.residuals[0])
         damping = 1e-6
-        n = theta.size
         for _ in range(30):
-            if f < _SEARCH_F_TARGET or jac is None:
+            if f < _SEARCH_F_TARGET:
+                break
+            jacobians += 1
+            try:
+                jac, basis = residual.jacobian(point)
+            except np.linalg.LinAlgError:
                 break
             normal = jac.T @ jac
-            rhs = -jac.T @ r
-            accepted = False
+            rhs = -jac.T @ point.residuals[0]
             for _ in range(25):
                 try:
-                    step = np.linalg.solve(normal + damping * np.eye(n), rhs)
+                    step = np.linalg.solve(normal + damping * np.eye(len(rhs)), rhs)
                 except np.linalg.LinAlgError:
                     damping *= 10.0
                     continue
-                trial = residual((theta + step)[None])
-                if trial is not None and float(trial[0][0] @ trial[0][0]) < f:
-                    theta = theta + step
+                trial_theta = theta + step @ basis
+                trial = residual._evaluate(trial_theta[None], False)
+                evaluations += 1
+                if trial is not None and float(trial.residuals[0] @ trial.residuals[0]) < f:
+                    theta = trial_theta
                     theta[64:] -= theta[64:].mean()
-                    # the frame, hence every degeneracy test, is the trial's
-                    r, jac, payload = residual.linearize(theta)
-                    f = float(r @ r)
+                    point = residual.accept(trial, theta)
+                    f = float(point.residuals[0] @ point.residuals[0])
                     damping = max(damping / 5.0, 1e-10)
-                    accepted = True
                     break
                 damping *= 7.0
-            if not accepted:
+            else:
                 break
         if f < best_f:
-            best_payload, best_f, best_restart = payload, f, restart
+            best_payload, best_f, best_restart = tuple(p[0] for p in point.payload), f, restart
         if best_f < _SEARCH_F_TARGET:
             break
-    return best_payload, best_f, best_restart
+    return CompatibilitySearch(best_payload, best_f, best_restart, jacobians, evaluations)
 
 
 @dataclass
@@ -834,9 +854,11 @@ class BiseparableConstruction:
     singular_values: tuple[float, float]
     # rejected attempts by reason (see _REJECTIONS); they sum to attempts - 1
     rejections: dict[str, int]
-    # the accepted search started from a random isotropic subspace, not a
-    # random frame
+    # the accepted search started from a random isotropic subspace, not a random frame
     isotropic_start: bool
+    # the work of all its compatibility searches (CompatibilitySearch)
+    jacobians: int
+    evaluations: int
 
     def __iter__(self):
         return iter((self.state, self.triple))
@@ -872,31 +894,25 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
     entangled. Every turned-down attempt is counted under its reason in
     `rejections`. Raises MaxIterations after 400 attempts.
     """
-    attempts = 0
-    sign_decisions = 0
-    sign_accepted = 0
     rejections = dict.fromkeys(_REJECTIONS, 0)
+    jacobians = evaluations = 0
     problem = RankTargetProblem((4, 4, 4, 4))
-    for _ in range(_CONSTRUCTION_MAX_ATTEMPTS):
-        attempts += 1
+    for attempts in range(1, _CONSTRUCTION_MAX_ATTEMPTS + 1):
         raw = rng.integers(0, 2, size=4) * 2 - 1
         signs = raw if raw[0] > 0 else -raw
-        use_isotropic = bool(rng.random() < 1.0 / 16.0)
-        start = isotropic_subspace(rng).psi if use_isotropic else None
-        sign_decisions += 1
+        start = isotropic_subspace(rng).psi if rng.random() < 1.0 / 16.0 else None
         if not np.all(signs > 0):
             rejections["sign_gate"] += 1
             continue
-        sign_accepted += 1
-        payload, f, restart = compatible_subspace_search(rng, signs, start_frame=start)
-        if payload is None or f > _SEARCH_F_TARGET:
+        search = compatible_subspace_search(rng, signs, start_frame=start)
+        jacobians += search.jacobians
+        evaluations += search.evaluations
+        if search.payload is None or search.f > _SEARCH_F_TARGET:
             rejections["search_not_converged"] += 1
             continue
-        psi, logw, pe, pf, pg = payload
+        psi, logw, pe, pf, pg = search.payload
         weights = np.exp(logw)
-        candidate = sum(
-            weights[i] * np.outer(pe[:, i], pe[:, i].conj()) for i in range(4)
-        )
+        candidate = sum(weights[i] * np.outer(pe[:, i], pe[:, i].conj()) for i in range(4))
         candidate = HermitianOperator(candidate).normalized()
         x, f_pin, _ = refine_block(problem, mat_to_coords(candidate.mat),
                                    f_target=1e-24, max_iters=40)
@@ -927,17 +943,12 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         if max(s1, s2) > 1e-9:
             rejections["dependence"] += 1
             continue
-        classification = classify_type(state)
         return BiseparableConstruction(
-            state=state,
-            triple=triple,
-            attempts=attempts,
-            sign_decisions=sign_decisions,
-            sign_accepted=sign_accepted,
-            classification=classification,
-            singular_values=(s1, s2),
-            rejections=rejections,
-            isotropic_start=start is not None and restart == 0,
+            state=state, triple=triple, attempts=attempts, sign_decisions=attempts,
+            sign_accepted=attempts - rejections["sign_gate"], classification=classify_type(state),
+            singular_values=(s1, s2), rejections=rejections,
+            isotropic_start=start is not None and search.restart == 0,
+            jacobians=jacobians, evaluations=evaluations,
         )
     raise MaxIterations(
         f"no accepted construction within {_CONSTRUCTION_MAX_ATTEMPTS} attempts; "
@@ -945,20 +956,9 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
 
 
 __all__ = [
-    "BiseparableConstruction",
-    "BiseparableTriple",
-    "TypeIIParams",
-    "TypeIParams",
-    "biseparable_triple",
-    "classify_type",
-    "compatible_subspace_search",
-    "construct_biseparable",
-    "construct_type1",
-    "construct_type2",
-    "isotropic_subspace",
-    "quadruple_parameters",
-    "type1_parameter_count",
-    "type2_product_bases",
-    "type2_pt_witness",
-    "type2_weights",
+    "BiseparableConstruction", "BiseparableTriple", "CompatibilitySearch",
+    "TypeIIParams", "TypeIParams", "biseparable_triple", "classify_type",
+    "compatible_subspace_search", "construct_biseparable", "construct_type1",
+    "construct_type2", "isotropic_subspace", "quadruple_parameters",
+    "type1_parameter_count", "type2_product_bases", "type2_pt_witness", "type2_weights",
 ]

@@ -88,6 +88,7 @@ def test_criterion_04_biseparable_family():
     decisions = 0
     accepted = 0
     isotropic_type2 = 0
+    jacobians = evaluations = 0
     detail = ""
     for k, child in enumerate(np.random.SeedSequence(404).spawn(100)):
         rng = np.random.default_rng(child)
@@ -95,6 +96,8 @@ def test_criterion_04_biseparable_family():
         state = result.state
         decisions += result.sign_decisions
         accepted += result.sign_accepted
+        jacobians += result.jacobians
+        evaluations += result.evaluations
         profile = qs.ppt_profile(state)
         probe = ex.separability_probe(state, np.random.default_rng(k))
         run_ok = (profile.ranks == (4, 4, 4, 4)
@@ -118,7 +121,8 @@ def test_criterion_04_biseparable_family():
     report(4, "rank-4444 family reproduction", ok,
            detail or f"type I x{types.count('I')}, type II x{types.count('II')} "
                      f"({isotropic_type2} from isotropic starts), "
-                     f"acceptance {accepted}/{decisions} = {rate:.3f}, {elapsed:.0f}s")
+                     f"acceptance {accepted}/{decisions} = {rate:.3f}, search work "
+                     f"{jacobians} Jacobians and {evaluations} evaluations, {elapsed:.0f}s")
 
 
 def test_criterion_05_type1_suite():

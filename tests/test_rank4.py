@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pptatlas import extremal as ex
@@ -166,23 +166,53 @@ class TestCompatibilityResidual:
             assert np.abs(row - reference(probe)).max() < 1e-13
 
 
-def _central_jacobian(reference, theta, h=1e-6):
-    """Central differences of the reference residual, matched against the
-    columns the reference holds."""
-    cols = []
-    for j in range(68):
-        shift = np.zeros(68)
-        shift[j] = h
-        cols.append((reference(theta + shift) - reference(theta - shift)) / (2 * h))
-    return np.array(cols).T
+def _central_jacobian(reference, theta, directions, h=1e-6):
+    """Central differences of the reference residual along each row of
+    directions, matched against the columns the reference holds."""
+    return np.array([(reference(theta + h * d) - reference(theta - h * d)) / (2 * h)
+                     for d in directions]).T
 
 
-def _assert_jacobian_matches(signs, theta, r, jac, payload):
+def _vertical_directions(theta):
+    """The 32 directions dX = psi W in theta (W = e_b e_c^T, then i e_b e_c^T)
+    that move the frame within its span."""
+    psi = np.linalg.qr((theta[:32] + 1j * theta[32:64]).reshape(8, 4))[0]
+    rows = []
+    for w in np.concatenate([np.eye(16), 1j * np.eye(16)]):
+        dx = psi @ w.reshape(4, 4)
+        rows.append(np.concatenate([dx.real.ravel(), dx.imag.ravel(), np.zeros(4)]))
+    return np.array(rows)
+
+
+def _linearize(residual, theta):
+    """(point, J, basis) at theta, whose columns become the reference."""
+    point = residual._evaluate(theta[None], True)
+    return (point, *residual.jacobian(point))
+
+
+def _theta_of(point):
+    """Parameters of a point's member 0, rebuilt from its frame QR and its
+    capped log-weights."""
+    frame = point.frame.psi[0] @ point.frame.upper[0]
+    raw = r4._WEIGHT_CAP * np.arctanh(point.logw[0] / r4._WEIGHT_CAP)
+    return np.concatenate([frame.real.ravel(), frame.imag.ravel(), raw])
+
+
+def _assert_jacobian_matches(signs, theta, point, jac, basis):
+    """J matches central differences of the reference along the 36 search
+    directions; with the 32 vertical directions they are orthonormal, and
+    along the vertical ones the residual does not move."""
     reference = _ReferenceResidual(np.array(signs))
-    reference.reference = dict(zip(pv.BIPARTITIONS, payload[2:]))
-    assert np.abs(r - reference(theta)).max() < 1e-13
-    expected = _central_jacobian(reference, theta)
-    assert np.abs(jac - expected).max() < 1e-6 * np.abs(expected).max()
+    reference.reference = dict(zip(pv.BIPARTITIONS, (cols[0] for cols in point.payload[2:])))
+    assert np.abs(point.residuals[0] - reference(theta)).max() < 1e-13
+    assert basis.shape == (36, 68) and jac.shape == (point.residuals.shape[1], 36)
+    vertical = _vertical_directions(theta)
+    directions = np.vstack([basis, vertical])
+    assert np.abs(directions @ directions.T - np.eye(68)).max() < 1e-12
+    expected = _central_jacobian(reference, theta, basis)
+    scale = np.abs(expected).max()
+    assert np.abs(jac - expected).max() < 1e-6 * scale
+    assert np.abs(_central_jacobian(reference, theta, vertical)).max() < 1e-8 * scale
 
 
 def _repeated_eigenvalue_frame(seed):
@@ -200,30 +230,28 @@ class TestCompatibilityJacobian:
     def test_matches_central_differences(self, signs, seed):
         theta = _search_point(100 + seed)
         residual = r4._CompatibilityResidual(np.array(signs))
-        r, jac, payload = residual.linearize(theta)
-        assert jac.shape == (r.size, 68)
-        _assert_jacobian_matches(signs, theta, r, jac, payload)
+        _assert_jacobian_matches(signs, theta, *_linearize(residual, theta))
 
     def test_matches_central_differences_with_rank_barrier_active(self):
-        """At points the search visits the rank barrier is often active;
-        take the first one whose barrier is far from its kink at 0."""
+        """At points the search differentiates the rank barrier is often
+        active; take the first one whose barrier is far from its kink at 0."""
         visited = []
-        linearize = r4._CompatibilityResidual.linearize
+        jacobian = r4._CompatibilityResidual.jacobian
 
-        def spy(self, theta):
-            out = linearize(self, theta)
-            visited.append((theta.copy(), out))
+        def spy(self, point):
+            out = jacobian(self, point)
+            visited.append((point, out))
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(r4._CompatibilityResidual, "linearize", spy)
+            mp.setattr(r4._CompatibilityResidual, "jacobian", spy)
             r4.compatible_subspace_search(np.random.default_rng(3), np.ones(4),
                                           inner_restarts=1)
-        active = [(theta, out) for theta, out in visited if out[0][-1] > 1e-3]
+        active = [(point, out) for point, out in visited if point.residuals[0, -1] > 1e-3]
         assert active
-        theta, (r, jac, payload) = active[0]
+        point, (jac, basis) = active[0]
         assert np.abs(jac[-1]).max() > 0
-        _assert_jacobian_matches((1, 1, 1, 1), theta, r, jac, payload)
+        _assert_jacobian_matches((1, 1, 1, 1), _theta_of(point), point, jac, basis)
 
     def test_matches_central_differences_with_gram_barriers_active(self, monkeypatch):
         # the Gram determinant of unit columns is at most 1, so a floor of 0
@@ -231,29 +259,30 @@ class TestCompatibilityJacobian:
         monkeypatch.setattr(r4, "_GRAM_LOG_FLOOR", 0.0)
         for signs in ((1, 1, 1, 1), (1, 1, -1, 1)):
             theta = _search_point(110)
-            residual = r4._CompatibilityResidual(np.array(signs))
-            r, jac, payload = residual.linearize(theta)
-            assert np.all(r[128:131] > 0)
-            _assert_jacobian_matches(signs, theta, r, jac, payload)
+            point, jac, basis = _linearize(r4._CompatibilityResidual(np.array(signs)), theta)
+            assert np.all(point.residuals[0, 128:131] > 0)
+            _assert_jacobian_matches(signs, theta, point, jac, basis)
 
     def test_repeated_pencil_eigenvalue_refuses_the_jacobian(self):
         theta = _repeated_eigenvalue_frame(4)
         residual = r4._CompatibilityResidual(np.ones(4))
-        r, jac, _ = residual.linearize(theta)
-        assert np.all(np.isfinite(r))
-        assert jac is None
+        point = residual._evaluate(theta[None], True)
+        assert np.all(np.isfinite(point.residuals))
+        with pytest.raises(np.linalg.LinAlgError, match="pencil eigenvalue gap"):
+            residual.jacobian(point)
         # a step away the gap is open again
-        assert residual.linearize(theta + 1e-3 * _search_point(5))[1] is not None
+        _linearize(residual, theta + 1e-3 * _search_point(5))
 
     def test_refused_jacobian_ends_the_restart(self):
         frame = _repeated_eigenvalue_frame(4)
         rows = r4._CompatibilityResidual(np.ones(4))(frame[None])[0]
         start = (frame[:32] + 1j * frame[32:64]).reshape(8, 4)
-        payload, f, restart = r4.compatible_subspace_search(
+        search = r4.compatible_subspace_search(
             np.random.default_rng(0), np.ones(4), start_frame=start, inner_restarts=1)
-        assert restart == 0
-        assert f == float(rows[0] @ rows[0])
-        assert np.array_equal(payload[0], np.linalg.qr(start)[0])
+        assert search.restart == 0
+        assert search.f == float(rows[0] @ rows[0])
+        assert np.array_equal(search.payload[0], np.linalg.qr(start)[0])
+        assert (search.jacobians, search.evaluations) == (1, 1)
 
     def test_singular_gram_is_a_rejected_point(self, monkeypatch):
         """A projector Gram system that cannot be solved makes the point
@@ -269,40 +298,99 @@ class TestCompatibilityJacobian:
         residual = r4._CompatibilityResidual(np.ones(4))
         monkeypatch.setattr(np.linalg, "solve", singular_gram)
         assert residual(theta[None]) is None
-        assert residual.linearize(theta) is None
+        assert residual._evaluate(theta[None], True) is None
+
+    def test_accept_equals_a_fresh_evaluation(self):
+        """Recentring the log-weights of an evaluated trial reuses its frame
+        half: the point, its payload and the new reference equal those of a
+        full evaluation at the recentred parameters, bit for bit."""
+        theta = _search_point(13)
+        fresh, reused = (r4._CompatibilityResidual(np.ones(4)) for _ in range(2))
+        for residual in (fresh, reused):
+            residual._evaluate(theta[None], True)
+        trial = theta + 1e-2 * _search_point(14)
+        moved = trial.copy()
+        moved[64:] -= moved[64:].mean()
+        expected = fresh._evaluate(moved[None], True)
+        got = reused.accept(reused._evaluate(trial[None], False), moved)
+        assert np.array_equal(got.residuals, expected.residuals)
+        assert all(np.array_equal(a, b) for a, b in zip(got.payload, expected.payload))
+        assert np.array_equal(reused.reference, fresh.reference)
+
+
+class TestSpanInvariance:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 16), st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+    def test_residual_sees_only_the_span(self, seed, entries):
+        """With the column-matching reference fixed, the frame X G gives the
+        residual of X, for well-conditioned G in GL(4, C): the fact that lets
+        the Jacobian drop the 32 vertical directions."""
+        g = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
+        assume(np.linalg.cond(g) < 30)
+        theta = _search_point(seed)
+        residual = r4._CompatibilityResidual(np.ones(4))
+        rows = residual(theta[None], update_reference=True)[0]
+        frame = (theta[:32] + 1j * theta[32:64]).reshape(8, 4) @ g
+        moved = np.concatenate([frame.real.ravel(), frame.imag.ravel(), theta[64:]])
+        assert np.abs(residual(moved[None])[0] - rows).max() < 1e-10
 
 
 class TestCompatibilitySearchCalls:
     def test_one_point_per_call_and_one_linearization_per_step(self):
-        """No evaluation stacks probe points: every call evaluates one point,
-        and each linearization after a restart's first follows at least one
-        trial (so there is one per iteration)."""
+        """Every evaluation is one new point; an accepted point is the trial
+        just evaluated, with its log-weights recentred; a restart takes at
+        most 30 Jacobians, each at a distinct point it reached, and none at
+        a last point that converged or ended the 30th iteration. Seed 0 has
+        one restart of each kind."""
         events = []
-        call, linearize = r4._CompatibilityResidual.__call__, r4._CompatibilityResidual.linearize
+        cls = r4._CompatibilityResidual
+        evaluate, accept, jacobian = cls._evaluate, cls.accept, cls.jacobian
 
-        def spy_call(self, thetas, update_reference=False):
-            events.append((id(self), "trial", len(thetas)))
-            return call(self, thetas, update_reference)
+        def spy_evaluate(self, thetas, update_reference):
+            point = evaluate(self, thetas, update_reference)
+            events.append((self, "evaluate", thetas.copy(), point))
+            return point
 
-        def spy_linearize(self, theta):
-            events.append((id(self), "linearize", theta.ndim))
-            return linearize(self, theta)
+        def spy_accept(self, point, theta):
+            moved = accept(self, point, theta)
+            events.append((self, "accept", theta.copy(), moved))
+            return moved
+
+        def spy_jacobian(self, point):
+            events.append((self, "jacobian", None, point))
+            return jacobian(self, point)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(r4._CompatibilityResidual, "__call__", spy_call)
-            mp.setattr(r4._CompatibilityResidual, "linearize", spy_linearize)
-            r4.compatible_subspace_search(np.random.default_rng(1), np.ones(4))
-        assert all(size == 1 for _, kind, size in events if kind == "trial")
-        assert all(ndim == 1 for _, kind, ndim in events if kind == "linearize")
+            mp.setattr(cls, "_evaluate", spy_evaluate)
+            mp.setattr(cls, "accept", spy_accept)
+            mp.setattr(cls, "jacobian", spy_jacobian)
+            search = r4.compatible_subspace_search(np.random.default_rng(0), np.ones(4))
         restarts = {}
-        for owner, kind, _ in events:
-            restarts.setdefault(owner, []).append(kind)
-        for kinds in restarts.values():
-            assert kinds[0] == "linearize"
-            linearizations = [i for i, kind in enumerate(kinds) if kind == "linearize"]
-            assert len(linearizations) <= 31
-            assert all(b - a > 1 for a, b in zip(linearizations, linearizations[1:]))
-        assert sum(kinds.count("linearize") for kinds in restarts.values()) > 2
+        for owner, *event in events:
+            restarts.setdefault(id(owner), []).append(event)
+        ends = []
+        for restart in restarts.values():
+            evaluated = [thetas for kind, thetas, _ in restart if kind == "evaluate"]
+            assert all(len(thetas) == 1 for thetas in evaluated)
+            assert len({thetas[0, :64].tobytes() for thetas in evaluated}) == len(evaluated)
+            for before, (kind, theta, _) in zip(restart, restart[1:]):
+                if kind == "accept":
+                    assert before[0] == "evaluate"
+                    assert np.array_equal(theta[:64], before[1][0, :64])
+                    assert abs(theta[64:].sum()) < 1e-12
+            reached = [restart[0][2]] + [point for kind, _, point in restart if kind == "accept"]
+            differentiated = [point for kind, _, point in restart if kind == "jacobian"]
+            assert len(differentiated) <= 30
+            assert all(any(p is q for q in reached) for p in differentiated)
+            assert len({id(p) for p in differentiated}) == len(differentiated)
+            last = reached[-1]
+            f_last = float(last.residuals[0] @ last.residuals[0])
+            if f_last < r4._SEARCH_F_TARGET or len(reached) == 31:
+                assert not any(p is last for p in differentiated)
+                ends.append("converged" if f_last < r4._SEARCH_F_TARGET else "capped")
+        assert sorted(ends) == ["capped", "converged"]
+        assert search.jacobians == sum(kind == "jacobian" for _, kind, *_ in events)
+        assert search.evaluations == sum(kind == "evaluate" for _, kind, *_ in events)
 
 
 _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -585,6 +673,34 @@ class TestConstructBiseparable:
         random_frame = r4.construct_biseparable(np.random.default_rng(515))
         assert not random_frame.isotropic_start and random_frame.classification == "II"
 
+    def test_work_counts_sum_over_searches(self):
+        searches = []
+        search = r4.compatible_subspace_search
+
+        def spy(*args, **kwargs):
+            searches.append(search(*args, **kwargs))
+            return searches[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(r4, "compatible_subspace_search", spy)
+            result = r4.construct_biseparable(np.random.default_rng(500))
+        assert result.jacobians == sum(s.jacobians for s in searches) > 0
+        assert result.evaluations == sum(s.evaluations for s in searches) > result.jacobians
+
+    def test_criterion_04_leading_seeds_keep_their_path(self):
+        """Criterion 04's seeds 0, 1 and 2 accept at these attempts with these
+        rejections. A search change that moves them changes the path, and a
+        time gained that way is luck, not speed."""
+        # attempts, then the sign_gate, search_not_converged and nonextremal rejections
+        expected = [(19, 15, 2, 1), (55, 52, 1, 1), (21, 17, 2, 1)]
+        for child, (attempts, sign_gate, not_converged, nonextremal) in zip(
+                np.random.SeedSequence(404).spawn(3), expected):
+            result = r4.construct_biseparable(np.random.default_rng(child))
+            assert result.attempts == attempts
+            assert result.rejections == dict(
+                dict.fromkeys(r4._REJECTIONS, 0), sign_gate=sign_gate,
+                search_not_converged=not_converged, nonextremal=nonextremal)
+
     def test_generic_subspace_has_no_dependence(self, rng):
         """Without minimization the two dependence tests fail by a wide margin."""
         from pptatlas.rank4 import _dependence_singular_values, BiseparableTriple
@@ -607,6 +723,6 @@ class TestConstructBiseparable:
         """Searches with a mixed sign pattern converge: the matrix is then
         biseparable in two ways but cannot be positive semidefinite."""
         rng = np.random.default_rng(11)
-        _, f, _ = r4.compatible_subspace_search(rng, np.array([1.0, 1.0, -1.0, 1.0]),
-                                                inner_restarts=4)
-        assert f < 3e-8
+        search = r4.compatible_subspace_search(rng, np.array([1.0, 1.0, -1.0, 1.0]),
+                                               inner_restarts=4)
+        assert search.f < 3e-8
