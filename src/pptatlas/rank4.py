@@ -524,6 +524,13 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
 
 _WEIGHT_CAP = 1.5          # log-weight bound; blocks weight-collapse cheats
 _SEARCH_F_TARGET = 3e-8    # residual square sum of a converged compatibility search
+_SEARCH_MAX_ITERATIONS = 30
+# a restart has stalled when, from iteration _STALL_FROM on, f fell by less than
+# _STALL_MIN_DECADES (about a factor of 2) over the last _STALL_WINDOW iterations:
+# at that rate f ~ 1e-4 would need more than 40 further iterations to converge
+_STALL_FROM = 10
+_STALL_WINDOW = 4
+_STALL_MIN_DECADES = 0.3
 _CONSTRUCTION_MAX_ATTEMPTS = 400
 _GRAM_LOG_FLOOR = -3.0     # barrier floor for the product-basis Gram determinant
 _RANK_FLOOR = 3e-3         # barrier floor for the 4th eigenvalue of the candidate
@@ -767,32 +774,59 @@ class _CompatibilityResidual:
         return np.concatenate(jac), basis
 
 
+# how a restart of compatible_subspace_search ends
+_RESTART_ENDS = ("converged", "stalled", "capped", "jacobian_refused", "no_decrease",
+                 "degenerate_start")
+
+
 class CompatibilitySearch(NamedTuple):
-    """Outcome of compatible_subspace_search, with f at index 1."""
+    """Outcome of compatible_subspace_search, with f at index 1.
+
+    restart_ends counts the restarts run by how they ended (_RESTART_ENDS):
+    converged below _SEARCH_F_TARGET; stalled (the stall rule); capped after
+    _SEARCH_MAX_ITERATIONS iterations; jacobian_refused; no_decrease, when no
+    damped trial lowered f; degenerate_start, when the start point could not
+    be evaluated. Only a converged restart counts as success.
+    """
 
     payload: tuple | None    # psi, logw, e, f, g at the best restart's last point
     f: float                 # below _SEARCH_F_TARGET on success
     restart: int | None      # the restart that produced the payload
     jacobians: int           # Jacobians asked for, over all restarts
     evaluations: int         # full residual evaluations: starts and trial points
+    restart_ends: dict[str, int]
+
+
+def _stalled(history: list[float]) -> bool:
+    """Whether f, the values at the points reached so far, fell by less than
+    _STALL_MIN_DECADES over the last _STALL_WINDOW iterations, from
+    iteration _STALL_FROM on."""
+    k = len(history) - 1
+    return (k >= _STALL_FROM
+            and np.log10(history[k - _STALL_WINDOW]) - np.log10(history[k]) < _STALL_MIN_DECADES)
 
 
 def compatible_subspace_search(rng: np.random.Generator, signs,
                                start_frame: np.ndarray | None = None,
                                inner_restarts: int = 2) -> CompatibilitySearch:
     """Levenberg-damped search for a subspace compatible with the given sign
-    pattern, at most 30 iterations per restart.
+    pattern, at most _SEARCH_MAX_ITERATIONS (30) iterations per restart.
 
     Each iteration differentiates the current point along 36 directions
     (_CompatibilityResidual.jacobian), solves the 36x36 damped normal
     equations and maps the step back to the 68 raw parameters. Trials are
     single-point evaluations; recentring an accepted trial's log-weights
     reuses its frame half (accept). No Jacobian is taken where no step
-    follows. A restart ends when no trial decreases f, or when the Jacobian
-    is refused. Restart 0 starts from start_frame when one is given.
+    follows. A restart ends when f falls below _SEARCH_F_TARGET, when it has
+    stalled (from iteration 10 on, f fell by less than a factor of 2 over the
+    last 4 iterations; checked before the Jacobian), at the iteration cap,
+    when no trial decreases f, or when the Jacobian is refused; only the
+    first counts as converged (CompatibilitySearch.restart_ends). Restart 0
+    starts from start_frame when one is given.
     """
     best_payload, best_f, best_restart = None, np.inf, None
     jacobians = evaluations = 0
+    ends = dict.fromkeys(_RESTART_ENDS, 0)
     for restart in range(inner_restarts):
         residual = _CompatibilityResidual(np.asarray(signs))
         raw = (rng.standard_normal(64) if start_frame is None or restart
@@ -801,16 +835,23 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
         point = residual._evaluate(theta[None], True)
         evaluations += 1
         if point is None:
+            ends["degenerate_start"] += 1
             continue
         f = float(point.residuals[0] @ point.residuals[0])
+        history = [f]
         damping = 1e-6
-        for _ in range(30):
+        end = "capped"
+        for _ in range(_SEARCH_MAX_ITERATIONS):
             if f < _SEARCH_F_TARGET:
+                break
+            if _stalled(history):
+                end = "stalled"
                 break
             jacobians += 1
             try:
                 jac, basis = residual.jacobian(point)
             except np.linalg.LinAlgError:
+                end = "jacobian_refused"
                 break
             normal = jac.T @ jac
             rhs = -jac.T @ point.residuals[0]
@@ -828,16 +869,19 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
                     theta[64:] -= theta[64:].mean()
                     point = residual.accept(trial, theta)
                     f = float(point.residuals[0] @ point.residuals[0])
+                    history.append(f)
                     damping = max(damping / 5.0, 1e-10)
                     break
                 damping *= 7.0
             else:
+                end = "no_decrease"
                 break
+        ends["converged" if f < _SEARCH_F_TARGET else end] += 1
         if f < best_f:
             best_payload, best_f, best_restart = tuple(p[0] for p in point.payload), f, restart
         if best_f < _SEARCH_F_TARGET:
             break
-    return CompatibilitySearch(best_payload, best_f, best_restart, jacobians, evaluations)
+    return CompatibilitySearch(best_payload, best_f, best_restart, jacobians, evaluations, ends)
 
 
 @dataclass
@@ -848,17 +892,26 @@ class BiseparableConstruction:
     state: HermitianOperator
     triple: BiseparableTriple
     attempts: int
-    sign_decisions: int
-    sign_accepted: int
     classification: str
     singular_values: tuple[float, float]
     # rejected attempts by reason (see _REJECTIONS); they sum to attempts - 1
     rejections: dict[str, int]
     # the accepted search started from a random isotropic subspace, not a random frame
     isotropic_start: bool
-    # the work of all its compatibility searches (CompatibilitySearch)
+    # the work of all its compatibility searches, and how their restarts
+    # ended (CompatibilitySearch)
     jacobians: int
     evaluations: int
+    restart_ends: dict[str, int]
+
+    @property
+    def sign_decisions(self) -> int:
+        """Every attempt draws a sign pattern first."""
+        return self.attempts
+
+    @property
+    def sign_accepted(self) -> int:
+        return self.attempts - self.rejections["sign_gate"]
 
     def __iter__(self):
         return iter((self.state, self.triple))
@@ -869,8 +922,7 @@ _REJECTIONS = ("sign_gate", "search_not_converged", "pin_failed", "pin_moved",
                "profile", "nonextremal", "triple", "dependence")
 
 
-def _dependence_singular_values(state: HermitianOperator,
-                                triple: BiseparableTriple) -> tuple[float, float]:
+def _dependence_singular_values(triple: BiseparableTriple) -> tuple[float, float]:
     """Smallest singular values of the two 64x8 dependence matrices formed by
     the unit-column projector stacks (e with f, and e with g)."""
     ce, cf, cg = (_projector_coords(cols) for cols in (triple.e, triple.f, triple.g))
@@ -892,10 +944,12 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
     whether the accepted state's search began there. Candidates are pinned to
     the exact rank-4444 manifold before validation; outputs are extremal and
     entangled. Every turned-down attempt is counted under its reason in
-    `rejections`. Raises MaxIterations after 400 attempts.
+    `rejections`, and every restart of its searches under how it ended in
+    `restart_ends`. Raises MaxIterations after 400 attempts.
     """
     rejections = dict.fromkeys(_REJECTIONS, 0)
     jacobians = evaluations = 0
+    restart_ends = dict.fromkeys(_RESTART_ENDS, 0)
     problem = RankTargetProblem((4, 4, 4, 4))
     for attempts in range(1, _CONSTRUCTION_MAX_ATTEMPTS + 1):
         raw = rng.integers(0, 2, size=4) * 2 - 1
@@ -907,6 +961,8 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         search = compatible_subspace_search(rng, signs, start_frame=start)
         jacobians += search.jacobians
         evaluations += search.evaluations
+        for end, count in search.restart_ends.items():
+            restart_ends[end] += count
         if search.payload is None or search.f > _SEARCH_F_TARGET:
             rejections["search_not_converged"] += 1
             continue
@@ -939,16 +995,15 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         except ConstructionError:
             rejections["triple"] += 1
             continue
-        s1, s2 = _dependence_singular_values(state, triple)
+        s1, s2 = _dependence_singular_values(triple)
         if max(s1, s2) > 1e-9:
             rejections["dependence"] += 1
             continue
         return BiseparableConstruction(
-            state=state, triple=triple, attempts=attempts, sign_decisions=attempts,
-            sign_accepted=attempts - rejections["sign_gate"], classification=classify_type(state),
+            state=state, triple=triple, attempts=attempts, classification=classify_type(state),
             singular_values=(s1, s2), rejections=rejections,
             isotropic_start=start is not None and search.restart == 0,
-            jacobians=jacobians, evaluations=evaluations,
+            jacobians=jacobians, evaluations=evaluations, restart_ends=restart_ends,
         )
     raise MaxIterations(
         f"no accepted construction within {_CONSTRUCTION_MAX_ATTEMPTS} attempts; "

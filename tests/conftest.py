@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from pptatlas.qstate import HermitianOperator, kron3, projector
+from pptatlas.qstate import HermitianOperator, kron3, projector, random_ppt_state
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -34,6 +35,27 @@ def random_separable(rng, k):
     weights /= weights.sum()
     mat = sum(w * projector(random_product_vector(rng)).mat for w in weights)
     return HermitianOperator(mat)
+
+
+@st.composite
+def ppt_states(draw):
+    """A random PPT state of one of several profiles, seeded by hypothesis:
+    an interior random_ppt_state (8888) or a mixture of 1 to 6 random
+    product states."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    products = draw(st.integers(0, 6))
+    return random_ppt_state(rng) if products == 0 else random_separable(rng, products)
+
+
+_angles = st.floats(0.0, 2 * np.pi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def unitaries(draw):
+    """A 2x2 unitary e^(ia) [[e^(ib) cos t, e^(ic) sin t], [-e^(-ic) sin t, e^(-ib) cos t]]."""
+    a, b, c, t = (draw(_angles) for _ in range(4))
+    return np.exp(1j * a) * np.array([[np.exp(1j * b) * np.cos(t), np.exp(1j * c) * np.sin(t)],
+                                      [-np.exp(-1j * c) * np.sin(t), np.exp(-1j * b) * np.cos(t)]])
 
 
 def reference_partial_transpose(mat: np.ndarray, subsystem: int) -> np.ndarray:

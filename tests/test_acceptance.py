@@ -89,6 +89,7 @@ def test_criterion_04_biseparable_family():
     accepted = 0
     isotropic_type2 = 0
     jacobians = evaluations = 0
+    restart_ends = dict.fromkeys(r4._RESTART_ENDS, 0)
     detail = ""
     for k, child in enumerate(np.random.SeedSequence(404).spawn(100)):
         rng = np.random.default_rng(child)
@@ -98,6 +99,8 @@ def test_criterion_04_biseparable_family():
         accepted += result.sign_accepted
         jacobians += result.jacobians
         evaluations += result.evaluations
+        for end, count in result.restart_ends.items():
+            restart_ends[end] += count
         profile = qs.ppt_profile(state)
         probe = ex.separability_probe(state, np.random.default_rng(k))
         run_ok = (profile.ranks == (4, 4, 4, 4)
@@ -122,7 +125,9 @@ def test_criterion_04_biseparable_family():
            detail or f"type I x{types.count('I')}, type II x{types.count('II')} "
                      f"({isotropic_type2} from isotropic starts), "
                      f"acceptance {accepted}/{decisions} = {rate:.3f}, search work "
-                     f"{jacobians} Jacobians and {evaluations} evaluations, {elapsed:.0f}s")
+                     f"{jacobians} Jacobians and {evaluations} evaluations, restart ends "
+                     + ", ".join(f"{end} {count}" for end, count in restart_ends.items())
+                     + f", {elapsed:.0f}s")
 
 
 def test_criterion_05_type1_suite():

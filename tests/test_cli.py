@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pptatlas import cli
 from pptatlas import qstate as qs
@@ -9,7 +10,7 @@ from pptatlas.config import Tolerances
 from pptatlas.extremal import rank_square_bound
 from pptatlas.rank4 import construct_type2
 
-from conftest import random_separable
+from conftest import ppt_states, random_separable
 
 
 def type2_pushed_below_zero() -> qs.HermitianOperator:
@@ -31,6 +32,19 @@ class TestStateRecord:
         assert back.profile == record.profile
         assert back.extremal == record.extremal
         assert back.classification == record.classification
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(ppt_states())
+    def test_any_record_round_trips_bit_exactly(self, state):
+        record = cli.annotate_state(state, {"method": "test"})
+        text = record.to_json()
+        back = cli.StateRecord.from_json(text)
+        assert np.array_equal(back.matrix, record.matrix)
+        assert back.profile == record.profile
+        assert back.fingerprint == record.fingerprint
+        assert (back.extremal, back.classification, back.provenance) == (
+            record.extremal, record.classification, record.provenance)
+        assert back.to_json() == text
 
     def test_double_round_trip_stable(self, rng):
         record = cli.annotate_state(qs.random_ppt_state(rng), {"method": "test"})

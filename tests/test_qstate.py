@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pptatlas import qstate as qs
 from pptatlas.errors import DegenerateDraw, NotAState, SingularFactor
@@ -7,9 +8,11 @@ from pptatlas.errors import DegenerateDraw, NotAState, SingularFactor
 from conftest import (
     ZeroRng,
     ghz_vector,
+    ppt_states,
     random_product_vector,
     random_unit,
     reference_partial_transpose,
+    unitaries,
     w_vector,
 )
 
@@ -215,6 +218,19 @@ class TestPptProfile:
     def test_rejects_non_state(self, rng):
         with pytest.raises(NotAState):
             qs.ppt_profile(qs.projector(ghz_vector()).mat - 0.3 * np.eye(8))
+
+
+class TestProfileUnderLocalUnitaries:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(ppt_states(), unitaries(), unitaries(), unitaries())
+    def test_ranks_and_sign_are_invariant(self, state, u1, u2, u3):
+        """U1 x U2 x U3 maps each partial transpose to a unitary conjugate of
+        itself (with U_k replaced by its conjugate in the transposed slot), so
+        no rank and no PPT sign changes."""
+        before = qs.ppt_profile(state)
+        after = qs.ppt_profile(qs.product_transform(state, u1, u2, u3))
+        assert after.ranks == before.ranks
+        assert after.is_ppt and before.is_ppt
 
 
 class TestProductTransform:

@@ -335,41 +335,65 @@ class TestSpanInvariance:
         assert np.abs(residual(moved[None])[0] - rows).max() < 1e-10
 
 
+def _spied_search(seed: int, stall_from: int = r4._STALL_FROM):
+    """compatible_subspace_search(default_rng(seed), all-positive signs) with
+    the stall rule starting at iteration stall_from, and its evaluate, accept
+    and jacobian calls as (kind, thetas, point) events, one list per restart."""
+    events = []
+    cls = r4._CompatibilityResidual
+    evaluate, accept, jacobian = cls._evaluate, cls.accept, cls.jacobian
+
+    def spy_evaluate(self, thetas, update_reference):
+        point = evaluate(self, thetas, update_reference)
+        events.append((self, "evaluate", thetas.copy(), point))
+        return point
+
+    def spy_accept(self, point, theta):
+        moved = accept(self, point, theta)
+        events.append((self, "accept", theta.copy(), moved))
+        return moved
+
+    def spy_jacobian(self, point):
+        events.append((self, "jacobian", None, point))
+        return jacobian(self, point)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "_evaluate", spy_evaluate)
+        mp.setattr(cls, "accept", spy_accept)
+        mp.setattr(cls, "jacobian", spy_jacobian)
+        mp.setattr(r4, "_STALL_FROM", stall_from)
+        search = r4.compatible_subspace_search(np.random.default_rng(seed), np.ones(4))
+    restarts = {}
+    for owner, *event in events:
+        restarts.setdefault(id(owner), []).append(event)
+    return search, list(restarts.values()), events
+
+
+def _reached(restart):
+    """The points a restart reached, start first, and f at each."""
+    points = [restart[0][2]] + [point for kind, _, point in restart if kind == "accept"]
+    return points, [float(p.residuals[0] @ p.residuals[0]) for p in points]
+
+
+def _stall_fires(history, k):
+    """The stall rule, restated: from iteration _STALL_FROM on, f at the point
+    of iteration k fell by less than _STALL_MIN_DECADES over _STALL_WINDOW."""
+    return k >= r4._STALL_FROM and (np.log10(history[k - r4._STALL_WINDOW])
+                                    - np.log10(history[k])) < r4._STALL_MIN_DECADES
+
+
 class TestCompatibilitySearchCalls:
     def test_one_point_per_call_and_one_linearization_per_step(self):
         """Every evaluation is one new point; an accepted point is the trial
         just evaluated, with its log-weights recentred; a restart takes at
-        most 30 Jacobians, each at a distinct point it reached, and none at
-        a last point that converged or ended the 30th iteration. Seed 0 has
-        one restart of each kind."""
-        events = []
-        cls = r4._CompatibilityResidual
-        evaluate, accept, jacobian = cls._evaluate, cls.accept, cls.jacobian
-
-        def spy_evaluate(self, thetas, update_reference):
-            point = evaluate(self, thetas, update_reference)
-            events.append((self, "evaluate", thetas.copy(), point))
-            return point
-
-        def spy_accept(self, point, theta):
-            moved = accept(self, point, theta)
-            events.append((self, "accept", theta.copy(), moved))
-            return moved
-
-        def spy_jacobian(self, point):
-            events.append((self, "jacobian", None, point))
-            return jacobian(self, point)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cls, "_evaluate", spy_evaluate)
-            mp.setattr(cls, "accept", spy_accept)
-            mp.setattr(cls, "jacobian", spy_jacobian)
-            search = r4.compatible_subspace_search(np.random.default_rng(0), np.ones(4))
-        restarts = {}
-        for owner, *event in events:
-            restarts.setdefault(id(owner), []).append(event)
+        most 30 Jacobians, each at a distinct point it reached where the stall
+        rule did not fire, and none at a last point that converged, ended the
+        30th iteration or stalled. A stalled restart ends with f above the
+        target. Seed 0 has one converged and one stalled restart, and the
+        search counts them so."""
+        search, restarts, events = _spied_search(0)
         ends = []
-        for restart in restarts.values():
+        for restart in restarts:
             evaluated = [thetas for kind, thetas, _ in restart if kind == "evaluate"]
             assert all(len(thetas) == 1 for thetas in evaluated)
             assert len({thetas[0, :64].tobytes() for thetas in evaluated}) == len(evaluated)
@@ -378,19 +402,51 @@ class TestCompatibilitySearchCalls:
                     assert before[0] == "evaluate"
                     assert np.array_equal(theta[:64], before[1][0, :64])
                     assert abs(theta[64:].sum()) < 1e-12
-            reached = [restart[0][2]] + [point for kind, _, point in restart if kind == "accept"]
+            reached, history = _reached(restart)
             differentiated = [point for kind, _, point in restart if kind == "jacobian"]
-            assert len(differentiated) <= 30
+            assert len(differentiated) <= r4._SEARCH_MAX_ITERATIONS
             assert all(any(p is q for q in reached) for p in differentiated)
             assert len({id(p) for p in differentiated}) == len(differentiated)
-            last = reached[-1]
-            f_last = float(last.residuals[0] @ last.residuals[0])
-            if f_last < r4._SEARCH_F_TARGET or len(reached) == 31:
-                assert not any(p is last for p in differentiated)
-                ends.append("converged" if f_last < r4._SEARCH_F_TARGET else "capped")
-        assert sorted(ends) == ["capped", "converged"]
+            assert not any(_stall_fires(history, k) for k, p in enumerate(reached)
+                           if any(p is q for q in differentiated))
+            last, k = reached[-1], len(reached) - 1
+            if history[-1] < r4._SEARCH_F_TARGET:
+                end = "converged"
+            elif k == r4._SEARCH_MAX_ITERATIONS:
+                end = "capped"
+            elif _stall_fires(history, k):
+                end = "stalled"
+            else:
+                continue
+            assert not any(p is last for p in differentiated)
+            ends.append(end)
+        assert sorted(ends) == ["converged", "stalled"]
+        assert search.restart_ends == dict(dict.fromkeys(r4._RESTART_ENDS, 0),
+                                           converged=1, stalled=1)
         assert search.jacobians == sum(kind == "jacobian" for _, kind, *_ in events)
         assert search.evaluations == sum(kind == "evaluate" for _, kind, *_ in events)
+
+    def test_stall_rule_cuts_a_capped_restart_before_the_cap(self):
+        """Without the stall rule, seed 0's first restart runs all 30
+        iterations and ends above the target. With it, the same path stops
+        at the first point where f fell by less than a factor of 2 over 4
+        iterations, well before iteration 30, and saves the rest of its
+        Jacobians; the converged second restart is the same."""
+        cut, (stalled, converged), _ = _spied_search(0)
+        full, (capped, converged_full), _ = _spied_search(0, r4._SEARCH_MAX_ITERATIONS + 1)
+        assert full.restart_ends["capped"] == 1 and cut.restart_ends["stalled"] == 1
+        _, history = _reached(stalled)
+        _, full_history = _reached(capped)
+        k = len(history) - 1
+        assert r4._STALL_FROM <= k < r4._SEARCH_MAX_ITERATIONS
+        assert len(full_history) == r4._SEARCH_MAX_ITERATIONS + 1
+        assert history == full_history[:k + 1]
+        assert _stall_fires(history, k)
+        assert not any(_stall_fires(history, j) for j in range(k))
+        assert min(full_history) > r4._SEARCH_F_TARGET
+        assert _reached(converged)[1] == _reached(converged_full)[1]
+        assert cut.f == full.f and cut.restart == full.restart == 1
+        assert full.jacobians - cut.jacobians == r4._SEARCH_MAX_ITERATIONS - k
 
 
 _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -686,6 +742,9 @@ class TestConstructBiseparable:
             result = r4.construct_biseparable(np.random.default_rng(500))
         assert result.jacobians == sum(s.jacobians for s in searches) > 0
         assert result.evaluations == sum(s.evaluations for s in searches) > result.jacobians
+        assert result.restart_ends == {end: sum(s.restart_ends[end] for s in searches)
+                                       for end in r4._RESTART_ENDS}
+        assert result.restart_ends["converged"] == 1
 
     def test_criterion_04_leading_seeds_keep_their_path(self):
         """Criterion 04's seeds 0, 1 and 2 accept at these attempts with these
@@ -714,8 +773,7 @@ class TestConstructBiseparable:
                 [tr.full / np.linalg.norm(tr.full) for tr in found])
         triple = BiseparableTriple(cols["1|23"], cols["2|13"], cols["3|12"],
                                    np.ones(4), np.ones(4), np.ones(4))
-        state, _ = r4.construct_type2(1.0)  # placeholder, not used by the svd helper
-        s1, s2 = _dependence_singular_values(state, triple)
+        s1, s2 = _dependence_singular_values(triple)
         # order 1e-1 for generic subspaces
         assert min(s1, s2) > 1e-2
 
