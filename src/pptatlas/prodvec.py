@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateAngles, DegeneratePencil, DegenerateQuadruple, NotOrthonormal
 from .qstate import (
@@ -140,19 +139,65 @@ def _mu_sort_key(triple: ProductVectorTriple):
     return (0, abs(mu), float(np.angle(mu)))
 
 
-def _solve_pencil(psi: np.ndarray, bipartition: str) -> list[ProductVectorTriple]:
-    top_rows, bottom_rows = _ROW_SPLITS[bipartition]
-    a_mat = psi[top_rows, :]
-    b_mat = psi[bottom_rows, :]
-    w, vr = scipy.linalg.eig(a_mat, b_mat)
+# fixed Mobius shift of the fallback pencil (a, b + c a): unit modulus keeps
+# b + c a as well scaled as b, and -1/c = e^{i(pi-2)}, the one eigenvalue that
+# makes b + c a singular, is no ratio a rational standard form produces
+_PENCIL_SHIFT = np.exp(2j)
+
+
+def _pencil_eigs(a_mat: np.ndarray, b_mat: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues (N, 4) and eigenvectors (N, 4, 4) of a stack of 4x4
+    pencils a v = mu b v, or None when any member is degenerate.
+
+    The stack is solved as eig(solve(b, a)). A stack whose solve fails is
+    solved member by member, and a member whose b is singular, or a stack
+    whose eigenvectors are not finite, goes to the shifted pencil. A member
+    is degenerate when its shifted pencil fails too.
+    """
+    try:
+        w, vr = np.linalg.eig(np.linalg.solve(b_mat, a_mat))
+    except np.linalg.LinAlgError:
+        if len(a_mat) == 1:
+            return _shifted_pencil_eigs(a_mat, b_mat)
+        parts = [_pencil_eigs(a_mat[i:i + 1], b_mat[i:i + 1]) for i in range(len(a_mat))]
+        if any(part is None for part in parts):
+            return None
+        return (np.concatenate([part[0] for part in parts]),
+                np.concatenate([part[1] for part in parts]))
+    if not np.all(np.isfinite(vr)):
+        return _shifted_pencil_eigs(a_mat, b_mat)
+    return w, vr
+
+
+def _shifted_pencil_eigs(a_mat: np.ndarray, b_mat: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The pencils (a, b + c a) share their eigenvectors with (a, b), and
+    their eigenvalues nu give mu = nu / (1 - c nu): infinite or beyond 1e12
+    where b is singular. None when b + c a is singular too (mu = -1/c, or a
+    singular pencil) or the eigenvectors are not finite."""
+    try:
+        nu, vr = np.linalg.eig(np.linalg.solve(b_mat + _PENCIL_SHIFT * a_mat, a_mat))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(vr)):
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return nu / (1.0 - _PENCIL_SHIFT * nu), vr
+
+
+def _factored_eigenvectors(psi: np.ndarray, bipartition: str,
+                           pencil: tuple[np.ndarray, np.ndarray] | None
+                           ) -> list[ProductVectorTriple]:
+    """The distinct images psi v of one pencil's eigenvectors v that factor
+    and lie in the subspace."""
+    if pencil is None:
+        return []
+    w, vr = pencil[0][0], pencil[1][0]
     proj = psi @ psi.conj().T
     found: list[ProductVectorTriple] = []
     for k in range(4):
-        alpha = vr[:, k]
-        if not np.all(np.isfinite(alpha)):
-            continue
-        phi = psi @ alpha
-        triple = _factor_candidate(phi, bipartition, complex(w[k]))
+        triple = _factor_candidate(psi @ vr[:, k], bipartition, complex(w[k]))
         if triple is None:
             continue
         if np.linalg.norm(proj @ triple.full - triple.full) > _SUBSPACE_TOL:
@@ -160,6 +205,24 @@ def _solve_pencil(psi: np.ndarray, bipartition: str) -> list[ProductVectorTriple
         if any(_same_ray(triple.full, other.full) for other in found):
             continue
         found.append(triple)
+    return found
+
+
+def _solve_pencil(psi: np.ndarray, bipartition: str) -> list[ProductVectorTriple]:
+    """Product vectors from the pencil of psi's half-row slices.
+
+    eig(solve(b, a)) loses the finite eigenvalues when b is nearly singular,
+    that is when a product vector of the subspace nearly has a vanishing
+    lower half (mu near infinity, as in standard forms). So when fewer than
+    four of its vectors factor, the shifted pencil is solved too, and the
+    longer list wins.
+    """
+    top_rows, bottom_rows = _ROW_SPLITS[bipartition]
+    a_mat, b_mat = psi[None, top_rows], psi[None, bottom_rows]
+    found = _factored_eigenvectors(psi, bipartition, _pencil_eigs(a_mat, b_mat))
+    if len(found) < 4:
+        shifted = _shifted_pencil_eigs(a_mat, b_mat)
+        found = max(found, _factored_eigenvectors(psi, bipartition, shifted), key=len)
     return found
 
 

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -28,7 +27,13 @@ from .errors import (
 )
 from .extremal import is_extremal
 from .invariants import i2_vanishes, quadratic_invariant
-from .prodvec import _ROW_SPLITS, BIPARTITIONS, SubspaceBasis, product_vectors_in_subspace
+from .prodvec import (
+    _ROW_SPLITS,
+    BIPARTITIONS,
+    SubspaceBasis,
+    _pencil_eigs,
+    product_vectors_in_subspace,
+)
 from .qstate import (
     DIM,
     EPSILON,
@@ -123,7 +128,14 @@ def isotropic_subspace(rng: np.random.Generator) -> SubspaceBasis:
             for c in cols:
                 rows.append(c.conj())
                 rows.append(e_mat.T @ c)
-            null = scipy.linalg.null_space(np.array(rows))
+            # null space: right singular vectors past the singular values
+            # above max(M, N) eps s_max, in C order: null @ coeff rounds by
+            # memory layout, and the tests hold these draws bit-equal to a
+            # C-order reference null space
+            constraints = np.array(rows)
+            _, sing, vh = np.linalg.svd(constraints)
+            cut = max(constraints.shape) * np.finfo(float).eps * sing[0]
+            null = np.ascontiguousarray(vh[int(np.sum(sing > cut)):].conj().T)
         else:
             null = np.eye(DIM, dtype=complex)
         coeff = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
@@ -472,34 +484,6 @@ def biseparable_triple(rho, rng: np.random.Generator | None = None) -> Biseparab
         mats.append(cols)
         weights.append(w)
     return BiseparableTriple(mats[0], mats[1], mats[2], weights[0], weights[1], weights[2])
-
-
-def _pencil_eigs(a_mat: np.ndarray, b_mat: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenvalues (N, 4) and eigenvectors (N, 4, 4) of a stack of 4x4
-    pencils (a, b), or None when any member is degenerate (non-finite
-    eigenvectors, or no eigensolver succeeds).
-
-    A stack whose solve or eig fails is solved member by member; a single
-    member whose b is singular goes to the generalized eigensolver.
-    """
-    try:
-        w, vr = np.linalg.eig(np.linalg.solve(b_mat, a_mat))
-    except np.linalg.LinAlgError:
-        if len(a_mat) > 1:
-            parts = [_pencil_eigs(a_mat[i:i + 1], b_mat[i:i + 1]) for i in range(len(a_mat))]
-            if any(part is None for part in parts):
-                return None
-            return (np.concatenate([part[0] for part in parts]),
-                    np.concatenate([part[1] for part in parts]))
-        try:
-            w, vr = scipy.linalg.eig(a_mat[0], b_mat[0])
-        except (np.linalg.LinAlgError, ValueError):
-            return None
-        w, vr = w[None], vr[None]
-    if not np.all(np.isfinite(vr)):
-        return None
-    return w, vr
 
 
 def _matching_order(new: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +252,24 @@ class TestMainEntry:
 
     def test_classify_missing_file_exit_three(self):
         assert cli.main(["classify", "--in", "/nonexistent/state.json"]) == 3
+
+    def test_runtime_never_imports_scipy(self, tmp_path):
+        """A descent campaign, a type II construction and the biseparable
+        decomposition of a type II state run without importing scipy."""
+        script = textwrap.dedent(f"""
+            import sys
+            from pptatlas import cli, rank4
+            assert cli.main(["search-extremal", "--runs", "1", "--seed", "3",
+                             "--out", {str(tmp_path)!r}]) == 0
+            assert cli.main(["construct", "type2", "--t", "0.6+0.8j",
+                             "--out", {str(tmp_path / "state.json")!r}]) == 0
+            state, _ = rank4.construct_type2(0.3 + 0.2j)
+            rank4.biseparable_triple(state)
+            loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+            assert "scipy" not in sys.modules, loaded[:8]
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env=env, timeout=300)
+        assert result.returncode == 0, result.stderr

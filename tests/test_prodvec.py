@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pptatlas import prodvec as pv
 from pptatlas import qstate as qs
@@ -66,6 +67,80 @@ class TestPencilExtraction:
         second = pv.product_vectors_in_subspace(basis, "1|23")
         for a, b in zip(first, second):
             assert np.array_equal(a.full, b.full)
+
+
+def _assert_matches_qz(a_mat, b_mat, w, vr):
+    """Eigenvalues w and eigenvectors vr of the pencil a v = mu b v agree with
+    scipy's QZ: each finite QZ eigenvalue to 1e-10 relative, each infinite
+    one as infinite or beyond 1e12, and each eigenvector on the same ray."""
+    w_qz, vr_qz = scipy.linalg.eig(a_mat, b_mat)
+    for mu, v in zip(w_qz, vr_qz.T):
+        k = int(np.argmax(np.abs(vr.conj().T @ v) / np.linalg.norm(vr, axis=0)))
+        assert same_ray(vr[:, k], v, tol=1e-10)
+        if np.isfinite(mu) and abs(mu) < 1e12:
+            assert abs(w[k] - mu) < 1e-10 * max(1.0, abs(mu))
+        else:
+            assert not np.isfinite(w[k]) or abs(w[k]) > 1e12
+
+
+def _with_vanishing_lower_half(rng):
+    """Orthonormal 8x4 frame whose first column is a product vector |0> x v:
+    its lower half, the b block of the 1|23 pencil, is zero."""
+    cols = [qs.kron3(np.array([1.0, 0.0]), random_unit(rng, 2), random_unit(rng, 2))]
+    cols += [random_unit(rng, 8) for _ in range(3)]
+    psi, _ = np.linalg.qr(np.column_stack(cols))
+    assert not psi[4:, 0].any()
+    return psi
+
+
+class TestPencilSolver:
+    """The one pencil solver against scipy's QZ (scipy.linalg.eig(a, b))."""
+
+    def test_random_pencils_match_qz(self, rng):
+        a_mat = rng.standard_normal((30, 4, 4)) + 1j * rng.standard_normal((30, 4, 4))
+        b_mat = rng.standard_normal((30, 4, 4)) + 1j * rng.standard_normal((30, 4, 4))
+        w, vr = pv._pencil_eigs(a_mat, b_mat)
+        for i in range(30):
+            _assert_matches_qz(a_mat[i], b_mat[i], w[i], vr[i])
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_infinite_eigenvalue_sorts_last(self, rng, rotate):
+        """A product vector with vanishing lower half makes b singular and
+        mu infinite: exactly, or to rounding once the frame is rotated."""
+        psi = _with_vanishing_lower_half(rng)
+        product = psi[:, 0].copy()
+        if rotate:
+            psi = psi @ np.linalg.qr(rng.standard_normal((4, 4))
+                                     + 1j * rng.standard_normal((4, 4)))[0]
+        found = pv.product_vectors_in_subspace(pv.SubspaceBasis(psi), "1|23")
+        assert len(found) == 4
+        assert same_ray(found[-1].full, product)
+        mu = found[-1].pencil_eigenvalue
+        assert not np.isfinite(mu) or abs(mu) > 1e12
+        assert [pv._mu_sort_key(t) for t in found] == sorted(pv._mu_sort_key(t) for t in found)
+        top, bottom = pv._ROW_SPLITS["1|23"]
+        w = np.array([t.pencil_eigenvalue for t in found])
+        vr = np.linalg.lstsq(psi, np.column_stack([t.full for t in found]), rcond=None)[0]
+        _assert_matches_qz(psi[top], psi[bottom], w, vr)
+
+    def test_singular_member_of_a_stack(self, rng):
+        """One singular member makes the stacked solve raise: the others keep
+        the bits of their own solve, and the singular one matches QZ."""
+        top, bottom = pv._ROW_SPLITS["1|23"]
+        frames = [np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))[0],
+                  _with_vanishing_lower_half(rng),
+                  np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))[0]]
+        a_mat = np.stack([f[top] for f in frames])
+        b_mat = np.stack([f[bottom] for f in frames])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(b_mat, a_mat)
+        w, vr = pv._pencil_eigs(a_mat, b_mat)
+        for i in (0, 2):
+            w_alone, vr_alone = np.linalg.eig(np.linalg.solve(b_mat[i], a_mat[i]))
+            assert np.array_equal(w[i], w_alone) and np.array_equal(vr[i], vr_alone)
+        for i in range(3):
+            _assert_matches_qz(a_mat[i], b_mat[i], w[i], vr[i])
+        assert np.sum(~np.isfinite(w[1]) | (np.abs(w[1]) > 1e12)) == 1
 
 
 class TestStandardForm:

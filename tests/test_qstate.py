@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pptatlas import qstate as qs
 from pptatlas.errors import DegenerateDraw, NotAState, SingularFactor
@@ -70,6 +72,18 @@ class TestPartialTranspose:
                     assert np.abs(spectra[k] - np.linalg.eigvalsh(ref)).max() < 1e-12
                     assert np.array_equal(spectra[k],
                                           np.linalg.eigvalsh(qs.ptranspose_mat(mat, k)))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(arrays(np.float64, (2, 8, 8), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_involution_and_reference_for_drawn_matrices(self, parts):
+        """For any finite complex 8x8 matrix, each partial transpose is an
+        involution and bit-equals the index-bookkeeping reference."""
+        mat = np.empty((8, 8), dtype=complex)
+        mat.real, mat.imag = parts
+        for k in (1, 2, 3):
+            pt = qs.ptranspose_mat(mat, k)
+            assert pt.tobytes() == reference_partial_transpose(mat, k).tobytes()
+            assert qs.ptranspose_mat(pt, k).tobytes() == mat.tobytes()
 
     def test_diagonal_fixed(self, rng):
         diag = np.diag(rng.standard_normal(8))

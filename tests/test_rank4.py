@@ -153,15 +153,18 @@ class TestCompatibilityResidual:
     def test_singular_member_falls_back_alone(self):
         """A frame whose 1|23 pencil has a singular bottom block makes the
         stacked solve raise; the stack is then solved member by member and
-        agrees with the reference."""
+        agrees with the reference. The singular member's eigenvectors come
+        in another solver's order, so both sides match columns to theta's."""
         theta = _search_point(10)
         frame = (theta[:32] + 1j * theta[32:64]).reshape(8, 4)
         frame[4:, 0] = 0.0          # first column lies in |0> x C^4
         singular = np.concatenate([frame.real.ravel(), frame.imag.ravel(), theta[64:]])
         probes = np.stack([theta, singular, theta + 1e-3])
         stacked = r4._CompatibilityResidual(np.ones(4))
+        stacked(theta[None], update_reference=True)
         rows, _ = stacked(probes)
         reference = _ReferenceResidual(np.ones(4))
+        reference(theta, update_reference=True)
         for row, probe in zip(rows, probes):
             assert np.abs(row - reference(probe)).max() < 1e-13
 
@@ -666,6 +669,28 @@ class TestIsotropicSubspace:
         assert np.abs(phi.conj().T @ phi - np.eye(4)).max() < 1e-12
         worst = max(abs(phi[:, i] @ e_mat @ phi[:, j]) for i in range(4) for j in range(4))
         assert worst < 1e-12
+
+    def test_null_spaces_bit_equal_scipy(self):
+        """The same draws on scipy's null_space of the same constraint rows
+        give the same basis, bit for bit."""
+        e_mat = qs.invariant_tensor_E()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            cols = []
+            for _ in range(4):
+                if cols:
+                    rows = []
+                    for c in cols:
+                        rows.append(c.conj())
+                        rows.append(e_mat.T @ c)
+                    null = scipy.linalg.null_space(np.array(rows))
+                else:
+                    null = np.eye(8, dtype=complex)
+                coeff = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
+                vec = null @ coeff
+                cols.append(vec / np.linalg.norm(vec))
+            basis = r4.isotropic_subspace(np.random.default_rng(seed))
+            assert np.array_equal(basis.psi, pv.SubspaceBasis(np.column_stack(cols)).psi)
 
     def test_type2_range_is_isotropic(self):
         state, _ = r4.construct_type2(0.4 + 1.1j)
