@@ -26,7 +26,7 @@ from .extremal import descend_to_extremal, is_extremal, rank_square_bound, separ
 from .invariants import InvariantFingerprint, fingerprint
 from .prodvec import upb_standard, upb_state
 from .qstate import PPT_INTERIOR, HermitianOperator, PptProfile, ppt_profile, random_ppt_state
-from .rank4 import classify_type, construct_type1, construct_type2
+from .rank4 import construct_type1, construct_type2
 from .ranksearch import RankTargetProblem, minimize_sq, solve_targets
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -62,6 +62,16 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 def _matrix_from_json(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
+
+
+def _field(data, name: str, parse=lambda value: value):
+    """parse(data[name]); ValueError naming the field when it is missing or
+    malformed."""
+    try:
+        return parse(data[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"record field {name!r} is missing or malformed "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 @dataclass
@@ -108,27 +118,27 @@ class StateRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StateRecord":
-        prof = data["profile"]
-        profile = PptProfile(
+        """The record of a to_dict() mapping; raises ValueError naming the
+        first field that is missing or malformed."""
+        profile = _field(data, "profile", lambda prof: PptProfile(
             ranks=tuple(prof["ranks"]),
             margins=tuple(prof["margins"]),
             tolerance=prof["tolerance"],
             is_ppt=prof["is_ppt"],
             min_eigenvalues=tuple(prof.get("min_eigenvalues", (0.0,) * 4)),
-        )
-        fp = data["fingerprint"]
-        fprint = InvariantFingerprint(
+        ))
+        fprint = _field(data, "fingerprint", lambda fp: InvariantFingerprint(
             i2=fp["i2"], i41=fp["i41"], i42=fp["i42"], i43=fp["i43"], i44=fp["i44"],
             normalized_quartics=tuple(fp["normalized_quartics"]),
             degenerate=fp["degenerate"], trace=fp["trace"],
-        )
+        ))
         return cls(
-            matrix=_matrix_from_json(data["matrix"]),
+            matrix=_field(data, "matrix", _matrix_from_json),
             profile=profile,
             fingerprint=fprint,
-            extremal=data["extremal"],
-            classification=data["classification"],
-            provenance=data["provenance"],
+            extremal=_field(data, "extremal"),
+            classification=_field(data, "classification"),
+            provenance=_field(data, "provenance"),
         )
 
     @classmethod
@@ -156,7 +166,8 @@ def annotate_state(state: HermitianOperator, provenance: dict,
     result = is_extremal(state, tolerances)
     rank4_type = None
     if profile.is_ppt and profile.ranks == (4, 4, 4, 4):
-        rank4_type = classify_type(state, tolerances)
+        # classify_type's rule: the fingerprint's vanishing-I2 decision
+        rank4_type = "II" if fprint.degenerate else "I"
     separable: bool | None = None
     if result.extremal:
         separable = profile.ranks[0] == 1
@@ -348,10 +359,13 @@ def cmd_construct(family: str, seed: int = 0, angles=None, t: complex | None = N
 def cmd_classify(in_path: str | Path, out_path: str | Path | None = None,
                  seed: int = 0, probe_trials: int = 4,
                  tolerances: Tolerances = DEFAULT) -> StateRecord:
-    """Load a record, recompute every annotation, and optionally probe
-    separability."""
-    text = Path(in_path).read_text()
-    old = StateRecord.from_json(text.splitlines()[0])
+    """Load the first record of a file (load_records), recompute every
+    annotation, and optionally probe separability. Raises ValueError when the
+    file holds no record."""
+    records = load_records(in_path)
+    if not records:
+        raise ValueError(f"{in_path} holds no record")
+    old = records[0]
     rng = np.random.default_rng(seed)
     provenance = dict(old.provenance)
     provenance["method"] = "classify"

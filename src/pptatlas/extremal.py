@@ -103,7 +103,7 @@ def face_solution_space(rho, tolerances: Tolerances = DEFAULT) -> FaceSolutionSp
     sel = np.abs(w - 4.0) < tolerances.face_eig_window
     count = int(np.count_nonzero(sel))
     basis_full = hermitian_basis()
-    rho_coords = mat_to_coords(state.mat, basis_full)
+    rho_coords = mat_to_coords(state.mat)
     trace_vec = np.einsum("kaa->k", basis_full).real
     if count <= 1:
         return FaceSolutionSpace(state, np.zeros((0, DIM, DIM), dtype=complex), 0,

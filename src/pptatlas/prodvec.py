@@ -79,52 +79,27 @@ class SubspaceBasis:
         return cls(v[:, 4:])
 
 
-def _split_two_by_four(phi: np.ndarray, bipartition: str) -> np.ndarray:
-    """Reshape phi so that rows index the 2-dim factor of the bipartition."""
-    if bipartition == "1|23":
-        return phi.reshape(2, 4)
-    if bipartition == "2|13":
-        return phi.reshape(2, 2, 2).transpose(1, 0, 2).reshape(2, 4)
-    if bipartition == "3|12":
-        return phi.reshape(4, 2).T
-    raise ValueError(f"unknown bipartition {bipartition!r}")
-
-
 def _factor_candidate(phi: np.ndarray, bipartition: str,
                       mu: complex) -> ProductVectorTriple | None:
     """Build a ProductVectorTriple from a pencil eigenvector image, or None if
-    the vector does not factor cleanly."""
+    the vector does not factor cleanly.
+
+    The bipartition's row split gives the 2x4 matrix whose rows index its
+    2-dim factor; the 2x2 split of the cofactor fills the other two slots in
+    subsystem order, when it is rank one."""
     nrm = np.linalg.norm(phi)
     if not np.isfinite(nrm) or nrm < 1e-12:
         return None
     phi = phi / nrm
-    m = _split_two_by_four(phi, bipartition)
-    u, s, _ = np.linalg.svd(m)
-    if s[1] > 1e-8 * s[0]:
+    top_rows, bottom_rows = _ROW_SPLITS[bipartition]
+    split = rank1_split(phi[top_rows + bottom_rows], 2, 4)
+    if split is None:
         return None
-    two = u[:, 0]
-    mags = np.abs(two)
-    idx = int(np.argmax(mags > 1e-12 * mags.max()))
-    two = two * (two[idx] / mags[idx]).conjugate()
-    cof = m.T @ two.conj()
-    triple = ProductVectorTriple(full=phi, bipartition=bipartition, cofactor=cof,
-                                 pencil_eigenvalue=mu)
-    if bipartition == "1|23":
-        triple.factor1 = two
-        rest = rank1_split(cof, 2, 2)
-        if rest is not None:
-            triple.factor2, triple.factor3 = rest
-    elif bipartition == "2|13":
-        triple.factor2 = two
-        rest = rank1_split(cof, 2, 2)
-        if rest is not None:
-            triple.factor1, triple.factor3 = rest
-    else:
-        triple.factor3 = two
-        rest = rank1_split(cof, 2, 2)
-        if rest is not None:
-            triple.factor1, triple.factor2 = rest
-    return triple
+    two, cof = split
+    factors = list(rank1_split(cof, 2, 2) or (None, None))
+    factors.insert(BIPARTITIONS.index(bipartition), two)
+    return ProductVectorTriple(phi, *factors, bipartition=bipartition, cofactor=cof,
+                               pencil_eigenvalue=mu)
 
 
 def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:

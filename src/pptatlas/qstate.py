@@ -399,11 +399,35 @@ def hermitian_basis() -> np.ndarray:
     return invariant_hermitian_basis(())
 
 
-def mat_to_coords(mat: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Real coordinates Tr(B_k M) of a Hermitian matrix in an orthonormal basis."""
-    if basis is None:
-        basis = hermitian_basis()
-    return np.einsum("kab,ba->k", basis, np.asarray(mat)).real
+@lru_cache(maxsize=1)
+def _coordinate_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Indices into the flattened real view of an 8x8 complex matrix, and
+    scales, that read the hermitian_basis() coordinates of a Hermitian one.
+
+    Each basis element B_k is nonzero at one upper-triangle entry (a, b) and
+    its mirror, where it is real or imaginary. For Hermitian M, Tr(B_k M) is
+    B_aa M_aa on the diagonal and 2 Re(B_ab conj(M_ab)) off it: one real
+    number of M times a constant.
+    """
+    index, scale = [], []
+    for element in hermitian_basis():
+        a, b = np.argwhere(np.triu(element))[0]
+        entry = element[a, b]
+        imag = entry.real == 0
+        index.append(2 * (DIM * a + b) + int(imag))
+        scale.append((1.0 if a == b else 2.0) * (entry.imag if imag else entry.real))
+    index, scale = np.array(index), np.array(scale)
+    index.flags.writeable = scale.flags.writeable = False
+    return index, scale
+
+
+def mat_to_coords(mats: np.ndarray) -> np.ndarray:
+    """hermitian_basis() coordinates Tr(B_k M) of Hermitian matrices,
+    (..., 8, 8) -> (..., 64), read by index from their upper triangles."""
+    index, scale = _coordinate_gather()
+    mats = np.asarray(mats)
+    flat = np.ascontiguousarray(mats, dtype=complex).view(float)
+    return flat.reshape(*mats.shape[:-2], 2 * DIM * DIM)[..., index] * scale
 
 
 def coords_to_mat(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ psi^T E phi vanishes identically on it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,6 @@ from .qstate import (
     EPSILON,
     HermitianOperator,
     _as_matrix,
-    hermitian_basis,
     invariant_tensor_E,
     kron3,
     mat_to_coords,
@@ -56,41 +54,11 @@ def _form(u: np.ndarray) -> complex:
     return u @ _EE @ u
 
 
-@lru_cache(maxsize=1)
-def _coordinate_gather() -> tuple[np.ndarray, np.ndarray]:
-    """Indices into the flattened real view of an 8x8 complex matrix, and
-    scales, that read the hermitian_basis() coordinates of a Hermitian one.
-
-    Each basis element B_k is nonzero at one upper-triangle entry (a, b) and
-    its mirror, where it is real or imaginary. For Hermitian M, Tr(B_k M) is
-    B_aa M_aa on the diagonal and 2 Re(B_ab conj(M_ab)) off it: one real
-    number of M times a constant.
-    """
-    index, scale = [], []
-    for element in hermitian_basis():
-        a, b = np.argwhere(np.triu(element))[0]
-        entry = element[a, b]
-        imag = entry.real == 0
-        index.append(2 * (DIM * a + b) + int(imag))
-        scale.append((1.0 if a == b else 2.0) * (entry.imag if imag else entry.real))
-    index, scale = np.array(index), np.array(scale)
-    index.flags.writeable = scale.flags.writeable = False
-    return index, scale
-
-
-def _hermitian_coords(mats: np.ndarray) -> np.ndarray:
-    """hermitian_basis() coordinates of a stack of Hermitian 8x8 matrices,
-    (..., 8, 8) -> (..., 64), read by index from their upper triangles."""
-    index, scale = _coordinate_gather()
-    flat = np.ascontiguousarray(mats, dtype=complex).view(float)
-    return flat.reshape(*mats.shape[:-2], 2 * DIM * DIM)[..., index] * scale
-
-
 def _projector_coords(cols: np.ndarray) -> np.ndarray:
     """Hermitian-basis coordinates of the projector onto each column of a
     stack of 8xc frames, shape (..., 8, c) -> (..., c, 64)."""
     v = np.swapaxes(cols, -1, -2)
-    return _hermitian_coords(v[..., :, None] * v.conj()[..., None, :])
+    return mat_to_coords(v[..., :, None] * v.conj()[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +455,17 @@ def biseparable_triple(rho, rng: np.random.Generator | None = None) -> Biseparab
 
 
 def _matching_order(new: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Column order (..., 4) that makes each 8x4 block of new (..., 8, 4)
-    follow the matching block of ref, pairing the largest remaining overlaps
-    first."""
-    overlap = np.abs(np.swapaxes(ref.conj(), -1, -2) @ new)
-    flat = overlap.reshape(-1, 4, 4)
-    rows = np.arange(len(flat))
-    order = np.zeros((len(flat), 4), dtype=int)
+    """Column order (k, 4) that makes each 8x4 block of new (k, 8, 4) follow
+    the matching block of ref, pairing the largest remaining overlaps first."""
+    overlap = np.abs(_adjoint(ref) @ new)
+    rows = np.arange(len(overlap))
+    order = np.zeros((len(overlap), 4), dtype=int)
     for _ in range(4):
-        i, j = np.divmod(flat.reshape(-1, 16).argmax(axis=1), 4)
+        i, j = np.divmod(overlap.reshape(-1, 16).argmax(axis=1), 4)
         order[rows, i] = j
-        flat[rows, i, :] = -1.0
-        flat[rows, :, j] = -1.0
-    return order.reshape(new.shape[:-2] + (4,))
+        overlap[rows, i, :] = -1.0
+        overlap[rows, :, j] = -1.0
+    return order
 
 
 def _adjoint(mats: np.ndarray) -> np.ndarray:
@@ -509,6 +475,7 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
 _WEIGHT_CAP = 1.5          # log-weight bound; blocks weight-collapse cheats
 _SEARCH_F_TARGET = 3e-8    # residual square sum of a converged compatibility search
 _SEARCH_MAX_ITERATIONS = 30
+_SEARCH_RESTARTS = 2       # restarts per compatibility search, the first from start_frame
 # a restart has stalled when, from iteration _STALL_FROM on, f fell by less than
 # _STALL_MIN_DECADES (about a factor of 2) over the last _STALL_WINDOW iterations:
 # at that rate f ~ 1e-4 would need more than 40 further iterations to converge
@@ -526,52 +493,50 @@ _BOTTOM_ROWS = np.array([_ROW_SPLITS[bp][1] for bp in BIPARTITIONS])
 
 
 class _Frame(NamedTuple):
-    """The frame half of an evaluation of n parameter vectors: what depends
-    only on theta[:, :64] and the column-matching reference."""
+    """The frame half of an evaluation: what depends only on theta[:64] and
+    the column-matching reference. Pencil quantities are in matched column
+    order, one row per bipartition."""
 
-    psi: np.ndarray          # orthonormal frame, (n, 8, 4)
-    upper: np.ndarray        # R of the frame QR, (n, 4, 4)
-    eigvals: np.ndarray      # pencil eigenvalues in solver order, (n, 3, 4)
-    eigvecs: np.ndarray      # pencil eigenvectors in solver order, (n, 3, 4, 4)
-    order: np.ndarray        # matching column order, (n, 3, 4)
-    norms: np.ndarray        # matched pencil column norms before normalizing, (n, 3, 4)
-    vecs: np.ndarray         # matched unit pencil columns e, f, g, (n, 3, 8, 4)
-    overlap: np.ndarray      # column overlaps V^dag V per bipartition, (n, 3, 4, 4)
-    gram: np.ndarray         # Gram-determinant barriers, (n, 3)
+    psi: np.ndarray          # orthonormal frame, (8, 4)
+    upper: np.ndarray        # R of the frame QR, (4, 4)
+    eigvals: np.ndarray      # pencil eigenvalues, (3, 4)
+    eigvecs: np.ndarray      # pencil eigenvectors, (3, 4, 4)
+    norms: np.ndarray        # pencil column norms before normalizing, (3, 4)
+    vecs: np.ndarray         # unit pencil columns e, f, g, (3, 8, 4)
+    overlap: np.ndarray      # column overlaps V^dag V per bipartition, (3, 4, 4)
+    gram: np.ndarray         # Gram-determinant barriers, (3,)
 
 
 class _Point(NamedTuple):
-    """One evaluation of n parameter vectors: the frame half, then the
-    candidate half, with the intermediates the Jacobian reuses."""
+    """One evaluation: the frame half, then the candidate half, with the
+    intermediates the Jacobian reuses."""
 
     frame: _Frame
-    logw: np.ndarray         # capped log-weights, (n, 4)
-    mhat: np.ndarray         # normalized candidate E diag(s w) E^dag / norm, (n, 8, 8)
-    scale: np.ndarray        # its Frobenius norm before normalizing, (n,)
-    coef: np.ndarray         # 2|13 and 3|12 projector coefficients, (n, 2, 4)
-    residuals: np.ndarray    # (n, m)
+    logw: np.ndarray         # capped log-weights, (4,)
+    mhat: np.ndarray         # normalized candidate E diag(w) E^dag / norm, (8, 8)
+    scale: float             # its Frobenius norm before normalizing
+    coef: np.ndarray         # 2|13 and 3|12 projector coefficients, (2, 4)
+    residuals: np.ndarray    # (132,)
 
     @property
-    def payload(self) -> tuple:     # psi, logw, e, f, g, stacked along n
-        vecs = self.frame.vecs
-        return self.frame.psi, self.logw, vecs[:, 0], vecs[:, 1], vecs[:, 2]
+    def payload(self) -> tuple:     # psi, logw, e, f, g
+        return self.frame.psi, self.logw, *self.frame.vecs
 
 
 class _CompatibilityResidual:
-    """Residual whose zeros are subspaces carrying a rank-4 matrix with the
-    prescribed sign pattern that is simultaneously a combination of the
-    product bases of all three bipartitions.
+    """Residual whose zeros are subspaces carrying a rank-4 positive
+    combination of the 1|23 product basis that is simultaneously a
+    combination of the product bases of the other two bipartitions.
 
     Parameters are a raw 8x4 frame X (orthonormalized by QR) plus four
-    bounded log-weights, 68 reals. The candidate is M = E diag(s w) E^dag over
+    bounded log-weights, 68 reals. The candidate is M = E diag(w) E^dag over
     the unit 1|23 pencil columns E, normalized to unit Frobenius norm. Its
     distance from the span of the projectors f_j f_j^dag (and likewise g) is
     the leftover M - sum_j c_j f_j f_j^dag, with c solving the 4x4 Gram
     system |F^dag F|^2 c = diag(F^dag M F); each leftover contributes its 64
-    hermitian_basis() coordinates, read from the matrix by index. Barrier
-    components keep the search off the degenerate strata (collapsing
-    weights, coinciding product vectors, rank drop) whose zeros would
-    otherwise dominate.
+    hermitian_basis() coordinates. Barrier components keep the search off
+    the degenerate strata (collapsing weights, coinciding product vectors,
+    rank drop) whose zeros would otherwise dominate.
 
     The residual sees the frame only through its span (pencil columns move
     covariantly with the frame and enter through projectors and overlap
@@ -581,83 +546,71 @@ class _CompatibilityResidual:
     log-weights. All four stay: the weight scaling M's normalization ignores
     is a common shift of theta[64:] only where the tanh cap acts equally.
 
-    __call__ evaluates a stack (n, 68) with one stacked call per linear-algebra
-    step; accept recomputes only the candidate half of an evaluation (_Point).
+    _evaluate evaluates one theta (68,); accept recomputes only the candidate
+    half of an evaluation (_Point).
     """
 
-    def __init__(self, signs: np.ndarray):
-        self.signs = np.asarray(signs, dtype=float)
+    def __init__(self):
         # matched pencil columns (3, 8, 4) of the last reference point
         self.reference: np.ndarray | None = None
 
-    def __call__(self, thetas: np.ndarray, update_reference: bool = False):
-        """(residuals (n, m), payload) for thetas (n, 68), or None when any
-        member of the stack is degenerate: a degenerate pencil, a column
-        norm below 1e-10, or a singular projector Gram matrix. The payload
-        (psi, logw, e, f, g) is stacked along the first axis;
-        update_reference takes member 0's columns as the reference for
-        column matching."""
-        point = self._evaluate(thetas, update_reference)
-        return None if point is None else (point.residuals, point.payload)
-
     def accept(self, point: _Point, theta: np.ndarray) -> _Point:
-        """The point at theta (68,), point's member 0 with other log-weights, whose
-        columns become the reference; not degenerate, for its frame half is point's."""
-        self.reference = point.frame.vecs[0]
-        return self._weigh(point.frame, theta[None])
+        """The point at theta (68,), point with other log-weights, whose columns
+        become the reference; not degenerate, for its frame half is point's."""
+        self.reference = point.frame.vecs
+        return self._weigh(point.frame, theta)
 
-    def _evaluate(self, thetas: np.ndarray, update_reference: bool) -> _Point | None:
-        n = len(thetas)
-        frames = (thetas[:, :32] + 1j * thetas[:, 32:64]).reshape(n, DIM, 4)
-        psi, upper = np.linalg.qr(frames)
-        pencils = _pencil_eigs(psi[:, _TOP_ROWS].reshape(-1, 4, 4),
-                               psi[:, _BOTTOM_ROWS].reshape(-1, 4, 4))
+    def _evaluate(self, theta: np.ndarray, update_reference: bool) -> _Point | None:
+        """The point at theta (68,), or None when it is degenerate: a
+        degenerate pencil, a column norm below 1e-10, or a singular projector
+        Gram matrix. update_reference takes its columns as the reference for
+        column matching."""
+        psi, upper = np.linalg.qr((theta[:32] + 1j * theta[32:64]).reshape(DIM, 4))
+        pencils = _pencil_eigs(psi[_TOP_ROWS], psi[_BOTTOM_ROWS])
         if pencils is None:
             return None
-        eigvals, eigvecs = pencils[0].reshape(n, 3, 4), pencils[1].reshape(n, 3, 4, 4)
-        phis = psi[:, None] @ eigvecs
+        eigvals, eigvecs = pencils
+        phis = psi @ eigvecs
         norms = np.linalg.norm(phis, axis=-2)
         if norms.min() < 1e-10:
             return None
-        vecs = phis / norms[..., None, :]
-        if self.reference is None:
-            order = np.broadcast_to(np.arange(4), norms.shape)
-        else:
+        vecs = phis / norms[:, None, :]
+        if self.reference is not None:
             order = _matching_order(vecs, self.reference)
-            vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+            vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
             norms = np.take_along_axis(norms, order, axis=-1)
+            eigvals = np.take_along_axis(eigvals, order, axis=-1)
+            eigvecs = np.take_along_axis(eigvecs, order[:, None, :], axis=-1)
         if update_reference:
-            self.reference = vecs[0]
+            self.reference = vecs
         overlap = _adjoint(vecs) @ vecs
         det = np.maximum(np.linalg.det(overlap).real, 1e-300)
         gram = 0.5 * np.maximum(0.0, _GRAM_LOG_FLOOR - np.log10(det))
-        return self._weigh(_Frame(psi, upper, eigvals, eigvecs, order, norms, vecs, overlap,
-                                  gram), thetas)
+        return self._weigh(_Frame(psi, upper, eigvals, eigvecs, norms, vecs, overlap, gram),
+                           theta)
 
-    def _weigh(self, frame: _Frame, thetas: np.ndarray) -> _Point | None:
-        """The candidate half at thetas' log-weights; None for a singular Gram system."""
-        logw = _WEIGHT_CAP * np.tanh(thetas[:, 64:] / _WEIGHT_CAP)
-        e, others = frame.vecs[:, 0], frame.vecs[:, 1:]
-        mats = (e * (self.signs * np.exp(logw))[:, None, :]) @ _adjoint(e)
+    def _weigh(self, frame: _Frame, theta: np.ndarray) -> _Point | None:
+        """The candidate half at theta's log-weights; None for a singular Gram system."""
+        logw = _WEIGHT_CAP * np.tanh(theta[64:] / _WEIGHT_CAP)
+        e, others = frame.vecs[0], frame.vecs[1:]
+        mats = (e * np.exp(logw)) @ _adjoint(e)
         scale = np.linalg.norm(mats, axis=(-2, -1))
-        mhat = mats / scale[:, None, None]
-        rhs = np.einsum("nkaj,nkaj->nkj", others.conj(), mhat[:, None] @ others).real
+        mhat = mats / scale
+        rhs = np.einsum("kaj,kaj->kj", others.conj(), mhat @ others).real
         try:
-            coef = np.linalg.solve(np.abs(frame.overlap[:, 1:]) ** 2, rhs[..., None])[..., 0]
+            coef = np.linalg.solve(np.abs(frame.overlap[1:]) ** 2, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
             return None
-        left = mhat[:, None] - (others * coef[..., None, :]) @ _adjoint(others)
-        residuals = [_hermitian_coords(left).reshape(len(thetas), -1), frame.gram]
-        if np.all(self.signs > 0):
-            ev4 = np.maximum(np.abs(np.linalg.eigvalsh(mhat)[:, 4]), 1e-300)
-            rank_barrier = 0.5 * np.maximum(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4))
-            residuals.append(rank_barrier[:, None])
-        return _Point(frame, logw, mhat, scale, coef, np.concatenate(residuals, axis=1))
+        left = mhat - (others * coef[:, None, :]) @ _adjoint(others)
+        ev4 = np.maximum(np.abs(np.linalg.eigvalsh(mhat)[4]), 1e-300)
+        rank_barrier = 0.5 * np.maximum(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4))
+        residuals = np.concatenate([mat_to_coords(left).ravel(), frame.gram, [rank_barrier]])
+        return _Point(frame, logw, mhat, scale, coef, residuals)
 
     def jacobian(self, point: _Point) -> tuple[np.ndarray, np.ndarray]:
-        """(J, basis) at point's member 0: the rows of basis (36, 68) are the
-        directions in theta, and J = dr/ds (m, 36) along them, so a step s
-        moves theta by s @ basis. Tangents carry the bipartition first.
+        """(J, basis) at point: the rows of basis (36, 68) are the directions
+        in theta, and J = dr/ds (m, 36) along them, so a step s moves theta
+        by s @ basis. Tangents carry the bipartition first.
 
         Raises LinAlgError when the derivative of a pencil eigenvector is not
         trustworthy: when min |l_i - l_j| / max |l_k| over the eigenvalues l
@@ -666,10 +619,7 @@ class _CompatibilityResidual:
         pencil (A, B) with eigenvectors V, a Gram matrix) is singular.
         """
         frame = point.frame
-        psi, vecs, order = frame.psi[0], frame.vecs[0], frame.order[0]
-        # the pencil eigen-systems in matched column order
-        eigvals = np.take_along_axis(frame.eigvals[0], order, axis=-1)
-        eigvecs = np.take_along_axis(frame.eigvecs[0], order[:, None, :], axis=-1)
+        psi, vecs, eigvals, eigvecs = frame.psi, frame.vecs, frame.eigvals, frame.eigvecs
         gaps = eigvals[:, None, :] - eigvals[:, :, None]        # l_j - l_i
         off = ~np.eye(4, dtype=bool)
         rel_gap = (np.abs(gaps[:, off]).min(axis=1) / np.abs(eigvals).max(axis=1)).min()
@@ -688,7 +638,7 @@ class _CompatibilityResidual:
         inv_gaps[:, off] = 1.0 / gaps[:, off]
         phis = psi @ eigvecs
         u_mat = np.linalg.inv(np.take_along_axis(phis, _BOTTOM_ROWS[:, :, None], axis=1))
-        y_mat = np.linalg.inv(frame.upper[0]) @ eigvecs
+        y_mat = np.linalg.inv(frame.upper) @ eigvecs
         u_top, u_bottom = u_mat @ perp[_TOP_ROWS], u_mat @ perp[_BOTTOM_ROWS]
         inner = inv_gaps[..., None] * (u_top[:, :, None] - eigvals[:, None, :, None]
                                        * u_bottom[:, :, None])
@@ -700,23 +650,23 @@ class _CompatibilityResidual:
         n_par = dphi.shape[1]
         # unit columns: d(phi / |phi|) = (dphi - v Re(v^dag dphi)) / |phi|
         radial = (vecs.conj()[:, None] * dphi).sum(axis=-2).real
-        dvecs = (dphi - vecs[:, None] * radial[..., None, :]) / frame.norms[0][:, None, None, :]
+        dvecs = (dphi - vecs[:, None] * radial[..., None, :]) / frame.norms[:, None, None, :]
 
-        # M = E diag(s w) E^dag and its normalization
-        e, de, logw = vecs[0], dvecs[0], point.logw[0]
-        weighted = self.signs * np.exp(logw)
+        # M = E diag(w) E^dag and its normalization
+        e, de, logw = vecs[0], dvecs[0], point.logw
+        weighted = np.exp(logw)
         half = ((de * weighted).reshape(-1, 4) @ e.conj().T).reshape(n_par, DIM, DIM)
         dm = half + _adjoint(half)
         # the log-weights, through the tanh cap: dw_i = w_i (1 - (logw_i / cap)^2)
         dm[32:] += ((weighted * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None, None]
                     * (e.T[:, :, None] * e.T.conj()[:, None, :]))
-        mhat, scale = point.mhat[0], point.scale[0]
+        mhat, scale = point.mhat, point.scale
         dscale = (dm.reshape(n_par, -1) @ mhat.conj().ravel()).real
         dmhat = (dm - mhat * dscale[:, None, None]) / scale
 
         # the leftovers M - F diag(c) F^dag, with |F^dag F|^2 c = diag(F^dag M F)
         others, dothers = vecs[1:], dvecs[1:]
-        overlap, coef = frame.overlap[0, 1:], point.coef[0]
+        overlap, coef = frame.overlap[1:], point.coef
         dfdag_f = (_adjoint(dothers).reshape(2, -1, DIM) @ others).reshape(2, n_par, 4, 4)
         dgram = 2.0 * (overlap.conj()[:, None] * (dfdag_f + _adjoint(dfdag_f))).real
         drhs = 2.0 * (dothers.conj() * (mhat @ others)[:, None]).sum(axis=-2).real
@@ -731,24 +681,23 @@ class _CompatibilityResidual:
         projs = (projs[..., :, None] * projs.conj()[..., None, :]).reshape(2, 4, -1)
         dleft = (dmhat - half - _adjoint(half)
                  - (dcoef @ projs).reshape(2, n_par, DIM, DIM))
-        jac = [np.swapaxes(_hermitian_coords(dleft), 1, 2).reshape(-1, n_par)]
+        jac = [np.swapaxes(mat_to_coords(dleft), 1, 2).reshape(-1, n_par)]
 
         # the barriers, only where active: d ln det G = 2 Re Tr(G^-1 V^dag dV)
-        r = point.residuals[0]
+        r = point.residuals
         gram_active = r[128:131] > 0
         dlogdet = np.zeros((3, n_par))
         if gram_active.any():
             vdv = _adjoint(vecs[gram_active])[:, None] @ dvecs[gram_active]
-            g_inv = np.linalg.inv(frame.overlap[0][gram_active])
+            g_inv = np.linalg.inv(frame.overlap[gram_active])
             dlogdet[gram_active] = 2.0 * np.einsum("kij,ktji->kt", g_inv, vdv).real
         jac.append(-0.5 * dlogdet / np.log(10.0))
-        if np.all(self.signs > 0):
-            drank = np.zeros((1, n_par))
-            if r[-1] > 0:
-                w, u = np.linalg.eigh(mhat)
-                dlam = (dmhat.reshape(n_par, -1) @ np.outer(u[:, 4].conj(), u[:, 4]).ravel()).real
-                drank[0] = -0.5 * dlam / (w[4] * np.log(10.0))
-            jac.append(drank)
+        drank = np.zeros((1, n_par))
+        if r[-1] > 0:
+            w, u = np.linalg.eigh(mhat)
+            dlam = (dmhat.reshape(n_par, -1) @ np.outer(u[:, 4].conj(), u[:, 4]).ravel()).real
+            drank[0] = -0.5 * dlam / (w[4] * np.log(10.0))
+        jac.append(drank)
         basis = np.zeros((36, 68))      # row 4b + c: dX = P e_b e_c^T as (Re, Im)
         frame_rows = basis[:16, :64].reshape(4, 4, 2, DIM, 4)
         for c in range(4):
@@ -790,11 +739,12 @@ def _stalled(history: list[float]) -> bool:
             and np.log10(history[k - _STALL_WINDOW]) - np.log10(history[k]) < _STALL_MIN_DECADES)
 
 
-def compatible_subspace_search(rng: np.random.Generator, signs,
-                               start_frame: np.ndarray | None = None,
-                               inner_restarts: int = 2) -> CompatibilitySearch:
-    """Levenberg-damped search for a subspace compatible with the given sign
-    pattern, at most _SEARCH_MAX_ITERATIONS (30) iterations per restart.
+def compatible_subspace_search(rng: np.random.Generator,
+                               start_frame: np.ndarray | None = None) -> CompatibilitySearch:
+    """Levenberg-damped search for a subspace carrying a positive combination
+    of its product vectors in all three bipartitions, at most
+    _SEARCH_RESTARTS (2) restarts of at most _SEARCH_MAX_ITERATIONS (30)
+    iterations.
 
     Each iteration differentiates the current point along 36 directions
     (_CompatibilityResidual.jacobian), solves the 36x36 damped normal
@@ -811,17 +761,17 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
     best_payload, best_f, best_restart = None, np.inf, None
     jacobians = evaluations = 0
     ends = dict.fromkeys(_RESTART_ENDS, 0)
-    for restart in range(inner_restarts):
-        residual = _CompatibilityResidual(np.asarray(signs))
+    for restart in range(_SEARCH_RESTARTS):
+        residual = _CompatibilityResidual()
         raw = (rng.standard_normal(64) if start_frame is None or restart
                else np.concatenate([start_frame.real.ravel(), start_frame.imag.ravel()]))
         theta = np.concatenate([raw, np.zeros(4)])
-        point = residual._evaluate(theta[None], True)
+        point = residual._evaluate(theta, True)
         evaluations += 1
         if point is None:
             ends["degenerate_start"] += 1
             continue
-        f = float(point.residuals[0] @ point.residuals[0])
+        f = float(point.residuals @ point.residuals)
         history = [f]
         damping = 1e-6
         end = "capped"
@@ -838,7 +788,7 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
                 end = "jacobian_refused"
                 break
             normal = jac.T @ jac
-            rhs = -jac.T @ point.residuals[0]
+            rhs = -jac.T @ point.residuals
             for _ in range(25):
                 try:
                     step = np.linalg.solve(normal + damping * np.eye(len(rhs)), rhs)
@@ -846,13 +796,13 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
                     damping *= 10.0
                     continue
                 trial_theta = theta + step @ basis
-                trial = residual._evaluate(trial_theta[None], False)
+                trial = residual._evaluate(trial_theta, False)
                 evaluations += 1
-                if trial is not None and float(trial.residuals[0] @ trial.residuals[0]) < f:
+                if trial is not None and float(trial.residuals @ trial.residuals) < f:
                     theta = trial_theta
                     theta[64:] -= theta[64:].mean()
                     point = residual.accept(trial, theta)
-                    f = float(point.residuals[0] @ point.residuals[0])
+                    f = float(point.residuals @ point.residuals)
                     history.append(f)
                     damping = max(damping / 5.0, 1e-10)
                     break
@@ -862,7 +812,7 @@ def compatible_subspace_search(rng: np.random.Generator, signs,
                 break
         ends["converged" if f < _SEARCH_F_TARGET else end] += 1
         if f < best_f:
-            best_payload, best_f, best_restart = tuple(p[0] for p in point.payload), f, restart
+            best_payload, best_f, best_restart = point.payload, f, restart
         if best_f < _SEARCH_F_TARGET:
             break
     return CompatibilitySearch(best_payload, best_f, best_restart, jacobians, evaluations, ends)
@@ -922,7 +872,8 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
     Each attempt draws a sign pattern for the four weights of the first
     decomposition; only the all-equal pattern can give a positive
     semidefinite state, so one attempt in eight survives the sign gate
-    (sign_accepted / sign_decisions tracks the rate). One attempt in 16
+    (sign_accepted / sign_decisions tracks the rate), and only those run the
+    positive-weight compatibility search. One attempt in 16
     starts from a random isotropic subspace, which is where the
     vanishing-invariant (type II) solutions live; `isotropic_start` records
     whether the accepted state's search began there. Candidates are pinned to
@@ -942,7 +893,7 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         if not np.all(signs > 0):
             rejections["sign_gate"] += 1
             continue
-        search = compatible_subspace_search(rng, signs, start_frame=start)
+        search = compatible_subspace_search(rng, start_frame=start)
         jacobians += search.jacobians
         evaluations += search.evaluations
         for end, count in search.restart_ends.items():

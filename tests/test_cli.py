@@ -13,6 +13,8 @@ from pptatlas import cli
 from pptatlas import qstate as qs
 from pptatlas.config import Tolerances
 from pptatlas.extremal import rank_square_bound
+from pptatlas import rank4 as r4
+from pptatlas.prodvec import upb_standard, upb_state
 from pptatlas.rank4 import construct_type2
 
 from conftest import ppt_states, random_separable
@@ -83,6 +85,29 @@ class TestStateRecord:
         assert record.extremal
         assert record.fingerprint.degenerate
         assert record.classification["type"] == "II"
+
+    def test_rank4444_type_comes_from_the_fingerprint(self, monkeypatch, rng):
+        """One annotation of a type II state computes the profile twice (its
+        own and is_extremal's), and its type is classify_type's on type I,
+        type II and UPB states."""
+        calls = []
+        profile = qs.ppt_profile
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return profile(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("pptatlas")
+                    and getattr(module, "ppt_profile", None) is profile):
+                monkeypatch.setattr(module, "ppt_profile", counted)
+        type2 = construct_type2(0.6 + 0.8j)[0]
+        cli.annotate_state(type2, {})
+        assert len(calls) == 2
+        for state in (r4.construct_type1(rng)[0], type2,
+                      upb_state(upb_standard(0.6, 0.9, 1.1))):
+            record = cli.annotate_state(state, {})
+            assert record.classification["type"] == r4.classify_type(state.normalized())
 
     def test_reload_reproduces_annotations(self, rng):
         record = cli.annotate_state(random_separable(rng, 3), {"method": "test"})
@@ -252,6 +277,29 @@ class TestMainEntry:
 
     def test_classify_missing_file_exit_three(self):
         assert cli.main(["classify", "--in", "/nonexistent/state.json"]) == 3
+
+    def test_malformed_record_files_exit_three(self, tmp_path, capsys):
+        """An empty file, a record without a field and a record whose matrix
+        is not a list of [re, im] rows are invalid input, for classify and
+        census alike; the error names the field."""
+        good = cli.cmd_construct("type2", t=1.0).to_dict()
+        no_fingerprint = {key: value for key, value in good.items() if key != "fingerprint"}
+        no_ranks = json.loads(json.dumps(good))
+        del no_ranks["profile"]["ranks"]
+        cases = {"empty": ("", "no record"),
+                 "no_fingerprint": (json.dumps(no_fingerprint), "'fingerprint'"),
+                 "no_ranks": (json.dumps(no_ranks), "'profile'"),
+                 "scalar_matrix": (json.dumps(dict(good, matrix=5)), "'matrix'")}
+        for name, (text, named) in cases.items():
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(text)
+            commands = [["classify", "--in", str(path)]]
+            if text:
+                commands.append(["census", "--in", str(path)])
+            for command in commands:
+                assert cli.main(command) == 3, (name, command)
+                err = capsys.readouterr().err
+                assert err.startswith("pptatlas: invalid input") and named in err, err
 
     def test_runtime_never_imports_scipy(self, tmp_path):
         """A descent campaign, a type II construction and the biseparable

@@ -315,6 +315,43 @@ class TestHermitianBases:
         assert np.abs(sym.mat.imag).max() == 0.0
 
 
+_finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hermitian_matrices(draw):
+    parts = draw(st.lists(_finite, min_size=128, max_size=128))
+    raw = np.array(parts[:64]).reshape(8, 8) + 1j * np.array(parts[64:]).reshape(8, 8)
+    return raw + raw.conj().T
+
+
+def _einsum_coords(mat):
+    """Tr(B_k M) summed over every entry of every basis element."""
+    return np.einsum("kab,ba->k", qs.hermitian_basis(), mat).real
+
+
+class TestHermitianCoords:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_hermitian_matrices())
+    def test_gather_equals_einsum_reference(self, mat):
+        expected = _einsum_coords(mat)
+        assert np.abs(qs.mat_to_coords(mat) - expected).max() <= 1e-13 * (
+            1.0 + np.abs(expected).max())
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_hermitian_matrices())
+    def test_norm_is_frobenius(self, mat):
+        norm = np.linalg.norm(mat)
+        assert abs(np.linalg.norm(qs.mat_to_coords(mat)) - norm) <= 1e-13 * (1.0 + norm)
+
+    def test_stack_reads_each_member(self, rng):
+        mats = rng.standard_normal((2, 3, 8, 8)) + 1j * rng.standard_normal((2, 3, 8, 8))
+        mats = mats + np.swapaxes(mats.conj(), -1, -2)
+        coords = qs.mat_to_coords(mats)
+        assert coords.shape == (2, 3, 64)
+        assert np.abs(coords[1, 2] - _einsum_coords(mats[1, 2])).max() < 1e-13
+
+
 class TestHermitianOperator:
     def test_symmetrizes_on_construction(self, rng):
         raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))

@@ -62,11 +62,11 @@ def _reference_projector_coords(cols):
 
 
 class _ReferenceResidual:
-    """The compatibility residual one parameter vector at a time, with the
-    projector coordinates as einsums: the reference for the stacked one."""
+    """The compatibility residual one bipartition at a time, with the
+    projector coordinates as einsums and the leftovers as QR projections:
+    the reference for the package's one."""
 
-    def __init__(self, signs):
-        self.signs = np.asarray(signs, dtype=float)
+    def __init__(self):
         self.reference = {bp: None for bp in pv.BIPARTITIONS}
 
     def __call__(self, theta, update_reference=False):
@@ -82,7 +82,7 @@ class _ReferenceResidual:
         if update_reference:
             self.reference = dict(vecs)
         coords = {bp: _reference_projector_coords(vecs[bp]) for bp in pv.BIPARTITIONS}
-        combo = (self.signs * np.exp(logw)) @ coords["1|23"]
+        combo = np.exp(logw) @ coords["1|23"]
         combo = combo / np.linalg.norm(combo)
         residuals = []
         for bp in ("2|13", "3|12"):
@@ -92,14 +92,13 @@ class _ReferenceResidual:
         for bp in pv.BIPARTITIONS:
             det = max(np.linalg.det(vecs[bp].conj().T @ vecs[bp]).real, 1e-300)
             barriers.append(0.5 * max(0.0, r4._GRAM_LOG_FLOOR - np.log10(det)))
-        if np.all(self.signs > 0):
-            evs = np.linalg.eigvalsh(np.einsum("k,kab->ab", combo, qs.hermitian_basis()))
-            ev4 = max(abs(float(evs[4])), 1e-300)
-            barriers.append(0.5 * max(0.0, np.log10(r4._RANK_FLOOR) - np.log10(ev4)))
+        evs = np.linalg.eigvalsh(np.einsum("k,kab->ab", combo, qs.hermitian_basis()))
+        ev4 = max(abs(float(evs[4])), 1e-300)
+        barriers.append(0.5 * max(0.0, np.log10(r4._RANK_FLOOR) - np.log10(ev4)))
         return np.concatenate([residuals[0], residuals[1], np.array(barriers)])
 
 
-# forward-difference step for the nearby probe points of the stack tests
+# step to the nearby probe points, whose columns are matched to the first one's
 _STEP = 1e-7
 
 
@@ -109,64 +108,45 @@ def _search_point(seed):
 
 
 class TestCompatibilityResidual:
-    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, 1, -1, 1)])
-    def test_stack_rows_match_reference(self, signs):
+    def test_rows_match_reference(self):
         theta = _search_point(7)
-        stacked = r4._CompatibilityResidual(np.array(signs))
-        reference = _ReferenceResidual(np.array(signs))
-        r0, payload = stacked(theta[None], update_reference=True)
-        assert np.abs(r0[0] - reference(theta, update_reference=True)).max() < 1e-13
-        for block, bp in zip(payload[2:], pv.BIPARTITIONS):
-            assert np.abs(block[0] - reference.reference[bp]).max() < 1e-13
-        probes = theta + _STEP * np.eye(68)
-        rows, _ = stacked(probes)
-        assert rows.shape == (68, r0.shape[1])
-        for row, probe in zip(rows, probes):
-            assert np.abs(row - reference(probe)).max() < 1e-13
+        residual = r4._CompatibilityResidual()
+        reference = _ReferenceResidual()
+        point = residual._evaluate(theta, True)
+        assert point.residuals.shape == (132,)
+        assert np.abs(point.residuals - reference(theta, update_reference=True)).max() < 1e-13
+        for block, bp in zip(point.payload[2:], pv.BIPARTITIONS):
+            assert np.abs(block - reference.reference[bp]).max() < 1e-13
+        for probe in theta + _STEP * np.eye(68):
+            rows = residual._evaluate(probe, False).residuals
+            assert np.abs(rows - reference(probe)).max() < 1e-13
 
-    def test_jacobian_matches_column_by_column(self):
-        theta = _search_point(8)
-        step = _STEP
-        stacked = r4._CompatibilityResidual(np.ones(4))
-        reference = _ReferenceResidual(np.ones(4))
-        r = stacked(theta[None], update_reference=True)[0][0]
-        r_ref = reference(theta, update_reference=True)
-        jac = ((stacked(theta + step * np.eye(68))[0] - r) / step).T
-        jac_ref = np.zeros_like(jac)
-        for j in range(68):
-            shift = np.zeros(68)
-            shift[j] = step
-            jac_ref[:, j] = (reference(theta + shift) - r_ref) / step
-        assert np.abs(jac - jac_ref).max() < 1e-6
-
-    def test_one_degenerate_member_breaks_the_stack(self):
+    def test_nan_frame_is_degenerate(self):
         theta = _search_point(9)
-        stacked = r4._CompatibilityResidual(np.ones(4))
-        assert stacked(theta[None], update_reference=True) is not None
-        probes = theta + _STEP * np.eye(68)
-        assert stacked(probes) is not None
+        residual = r4._CompatibilityResidual()
+        assert residual._evaluate(theta, True) is not None
         # a non-finite frame: its pencils have no finite eigenvectors
-        probes[17, 3] = np.nan
-        assert _ReferenceResidual(np.ones(4))(probes[17]) is None
-        assert stacked(probes) is None
+        theta[3] = np.nan
+        assert _ReferenceResidual()(theta) is None
+        assert residual._evaluate(theta, False) is None
 
     def test_singular_member_falls_back_alone(self):
         """A frame whose 1|23 pencil has a singular bottom block makes the
-        stacked solve raise; the stack is then solved member by member and
-        agrees with the reference. The singular member's eigenvectors come
-        in another solver's order, so both sides match columns to theta's."""
+        stacked solve of its three pencils raise; they are then solved one by
+        one and agree with the reference. The singular pencil's eigenvectors
+        come in another solver's order, so both sides match columns to
+        theta's."""
         theta = _search_point(10)
         frame = (theta[:32] + 1j * theta[32:64]).reshape(8, 4)
         frame[4:, 0] = 0.0          # first column lies in |0> x C^4
         singular = np.concatenate([frame.real.ravel(), frame.imag.ravel(), theta[64:]])
-        probes = np.stack([theta, singular, theta + 1e-3])
-        stacked = r4._CompatibilityResidual(np.ones(4))
-        stacked(theta[None], update_reference=True)
-        rows, _ = stacked(probes)
-        reference = _ReferenceResidual(np.ones(4))
+        residual = r4._CompatibilityResidual()
+        residual._evaluate(theta, True)
+        reference = _ReferenceResidual()
         reference(theta, update_reference=True)
-        for row, probe in zip(rows, probes):
-            assert np.abs(row - reference(probe)).max() < 1e-13
+        for probe in (theta, singular, theta + 1e-3):
+            rows = residual._evaluate(probe, False).residuals
+            assert np.abs(rows - reference(probe)).max() < 1e-13
 
 
 def _central_jacobian(reference, theta, directions, h=1e-6):
@@ -189,26 +169,26 @@ def _vertical_directions(theta):
 
 def _linearize(residual, theta):
     """(point, J, basis) at theta, whose columns become the reference."""
-    point = residual._evaluate(theta[None], True)
+    point = residual._evaluate(theta, True)
     return (point, *residual.jacobian(point))
 
 
 def _theta_of(point):
-    """Parameters of a point's member 0, rebuilt from its frame QR and its
-    capped log-weights."""
-    frame = point.frame.psi[0] @ point.frame.upper[0]
-    raw = r4._WEIGHT_CAP * np.arctanh(point.logw[0] / r4._WEIGHT_CAP)
+    """Parameters of a point, rebuilt from its frame QR and its capped
+    log-weights."""
+    frame = point.frame.psi @ point.frame.upper
+    raw = r4._WEIGHT_CAP * np.arctanh(point.logw / r4._WEIGHT_CAP)
     return np.concatenate([frame.real.ravel(), frame.imag.ravel(), raw])
 
 
-def _assert_jacobian_matches(signs, theta, point, jac, basis):
+def _assert_jacobian_matches(theta, point, jac, basis):
     """J matches central differences of the reference along the 36 search
     directions; with the 32 vertical directions they are orthonormal, and
     along the vertical ones the residual does not move."""
-    reference = _ReferenceResidual(np.array(signs))
-    reference.reference = dict(zip(pv.BIPARTITIONS, (cols[0] for cols in point.payload[2:])))
-    assert np.abs(point.residuals[0] - reference(theta)).max() < 1e-13
-    assert basis.shape == (36, 68) and jac.shape == (point.residuals.shape[1], 36)
+    reference = _ReferenceResidual()
+    reference.reference = dict(zip(pv.BIPARTITIONS, point.payload[2:]))
+    assert np.abs(point.residuals - reference(theta)).max() < 1e-13
+    assert basis.shape == (36, 68) and jac.shape == (len(point.residuals), 36)
     vertical = _vertical_directions(theta)
     directions = np.vstack([basis, vertical])
     assert np.abs(directions @ directions.T - np.eye(68)).max() < 1e-12
@@ -228,12 +208,10 @@ def _repeated_eigenvalue_frame(seed):
 
 
 class TestCompatibilityJacobian:
-    @pytest.mark.parametrize("signs", [(1, 1, 1, 1), (1, 1, -1, 1)])
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_central_differences(self, signs, seed):
+    def test_matches_central_differences(self, seed):
         theta = _search_point(100 + seed)
-        residual = r4._CompatibilityResidual(np.array(signs))
-        _assert_jacobian_matches(signs, theta, *_linearize(residual, theta))
+        _assert_jacobian_matches(theta, *_linearize(r4._CompatibilityResidual(), theta))
 
     def test_matches_central_differences_with_rank_barrier_active(self):
         """At points the search differentiates the rank barrier is often
@@ -248,42 +226,40 @@ class TestCompatibilityJacobian:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(r4._CompatibilityResidual, "jacobian", spy)
-            r4.compatible_subspace_search(np.random.default_rng(3), np.ones(4),
-                                          inner_restarts=1)
-        active = [(point, out) for point, out in visited if point.residuals[0, -1] > 1e-3]
+            r4.compatible_subspace_search(np.random.default_rng(3))
+        active = [(point, out) for point, out in visited if point.residuals[-1] > 1e-3]
         assert active
         point, (jac, basis) = active[0]
         assert np.abs(jac[-1]).max() > 0
-        _assert_jacobian_matches((1, 1, 1, 1), _theta_of(point), point, jac, basis)
+        _assert_jacobian_matches(_theta_of(point), point, jac, basis)
 
     def test_matches_central_differences_with_gram_barriers_active(self, monkeypatch):
         # the Gram determinant of unit columns is at most 1, so a floor of 0
         # makes all three barriers active
         monkeypatch.setattr(r4, "_GRAM_LOG_FLOOR", 0.0)
-        for signs in ((1, 1, 1, 1), (1, 1, -1, 1)):
-            theta = _search_point(110)
-            point, jac, basis = _linearize(r4._CompatibilityResidual(np.array(signs)), theta)
-            assert np.all(point.residuals[0, 128:131] > 0)
-            _assert_jacobian_matches(signs, theta, point, jac, basis)
+        theta = _search_point(110)
+        point, jac, basis = _linearize(r4._CompatibilityResidual(), theta)
+        assert np.all(point.residuals[128:131] > 0)
+        _assert_jacobian_matches(theta, point, jac, basis)
 
     def test_repeated_pencil_eigenvalue_refuses_the_jacobian(self):
         theta = _repeated_eigenvalue_frame(4)
-        residual = r4._CompatibilityResidual(np.ones(4))
-        point = residual._evaluate(theta[None], True)
+        residual = r4._CompatibilityResidual()
+        point = residual._evaluate(theta, True)
         assert np.all(np.isfinite(point.residuals))
         with pytest.raises(np.linalg.LinAlgError, match="pencil eigenvalue gap"):
             residual.jacobian(point)
         # a step away the gap is open again
         _linearize(residual, theta + 1e-3 * _search_point(5))
 
-    def test_refused_jacobian_ends_the_restart(self):
+    def test_refused_jacobian_ends_the_restart(self, monkeypatch):
         frame = _repeated_eigenvalue_frame(4)
-        rows = r4._CompatibilityResidual(np.ones(4))(frame[None])[0]
+        rows = r4._CompatibilityResidual()._evaluate(frame, False).residuals
         start = (frame[:32] + 1j * frame[32:64]).reshape(8, 4)
-        search = r4.compatible_subspace_search(
-            np.random.default_rng(0), np.ones(4), start_frame=start, inner_restarts=1)
+        monkeypatch.setattr(r4, "_SEARCH_RESTARTS", 1)
+        search = r4.compatible_subspace_search(np.random.default_rng(0), start_frame=start)
         assert search.restart == 0
-        assert search.f == float(rows[0] @ rows[0])
+        assert search.f == float(rows @ rows)
         assert np.array_equal(search.payload[0], np.linalg.qr(start)[0])
         assert (search.jacobians, search.evaluations) == (1, 1)
 
@@ -298,24 +274,23 @@ class TestCompatibilityJacobian:
             return solve(a, b)
 
         theta = _search_point(12)
-        residual = r4._CompatibilityResidual(np.ones(4))
+        residual = r4._CompatibilityResidual()
         monkeypatch.setattr(np.linalg, "solve", singular_gram)
-        assert residual(theta[None]) is None
-        assert residual._evaluate(theta[None], True) is None
+        assert residual._evaluate(theta, True) is None
 
     def test_accept_equals_a_fresh_evaluation(self):
         """Recentring the log-weights of an evaluated trial reuses its frame
         half: the point, its payload and the new reference equal those of a
         full evaluation at the recentred parameters, bit for bit."""
         theta = _search_point(13)
-        fresh, reused = (r4._CompatibilityResidual(np.ones(4)) for _ in range(2))
+        fresh, reused = (r4._CompatibilityResidual() for _ in range(2))
         for residual in (fresh, reused):
-            residual._evaluate(theta[None], True)
+            residual._evaluate(theta, True)
         trial = theta + 1e-2 * _search_point(14)
         moved = trial.copy()
         moved[64:] -= moved[64:].mean()
-        expected = fresh._evaluate(moved[None], True)
-        got = reused.accept(reused._evaluate(trial[None], False), moved)
+        expected = fresh._evaluate(moved, True)
+        got = reused.accept(reused._evaluate(trial, False), moved)
         assert np.array_equal(got.residuals, expected.residuals)
         assert all(np.array_equal(a, b) for a, b in zip(got.payload, expected.payload))
         assert np.array_equal(reused.reference, fresh.reference)
@@ -331,24 +306,24 @@ class TestSpanInvariance:
         g = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
         assume(np.linalg.cond(g) < 30)
         theta = _search_point(seed)
-        residual = r4._CompatibilityResidual(np.ones(4))
-        rows = residual(theta[None], update_reference=True)[0]
+        residual = r4._CompatibilityResidual()
+        rows = residual._evaluate(theta, True).residuals
         frame = (theta[:32] + 1j * theta[32:64]).reshape(8, 4) @ g
         moved = np.concatenate([frame.real.ravel(), frame.imag.ravel(), theta[64:]])
-        assert np.abs(residual(moved[None])[0] - rows).max() < 1e-10
+        assert np.abs(residual._evaluate(moved, False).residuals - rows).max() < 1e-10
 
 
 def _spied_search(seed: int, stall_from: int = r4._STALL_FROM):
-    """compatible_subspace_search(default_rng(seed), all-positive signs) with
-    the stall rule starting at iteration stall_from, and its evaluate, accept
-    and jacobian calls as (kind, thetas, point) events, one list per restart."""
+    """compatible_subspace_search(default_rng(seed)) with the stall rule
+    starting at iteration stall_from, and its evaluate, accept and jacobian
+    calls as (kind, theta, point) events, one list per restart."""
     events = []
     cls = r4._CompatibilityResidual
     evaluate, accept, jacobian = cls._evaluate, cls.accept, cls.jacobian
 
-    def spy_evaluate(self, thetas, update_reference):
-        point = evaluate(self, thetas, update_reference)
-        events.append((self, "evaluate", thetas.copy(), point))
+    def spy_evaluate(self, theta, update_reference):
+        point = evaluate(self, theta, update_reference)
+        events.append((self, "evaluate", theta.copy(), point))
         return point
 
     def spy_accept(self, point, theta):
@@ -365,7 +340,7 @@ def _spied_search(seed: int, stall_from: int = r4._STALL_FROM):
         mp.setattr(cls, "accept", spy_accept)
         mp.setattr(cls, "jacobian", spy_jacobian)
         mp.setattr(r4, "_STALL_FROM", stall_from)
-        search = r4.compatible_subspace_search(np.random.default_rng(seed), np.ones(4))
+        search = r4.compatible_subspace_search(np.random.default_rng(seed))
     restarts = {}
     for owner, *event in events:
         restarts.setdefault(id(owner), []).append(event)
@@ -375,7 +350,7 @@ def _spied_search(seed: int, stall_from: int = r4._STALL_FROM):
 def _reached(restart):
     """The points a restart reached, start first, and f at each."""
     points = [restart[0][2]] + [point for kind, _, point in restart if kind == "accept"]
-    return points, [float(p.residuals[0] @ p.residuals[0]) for p in points]
+    return points, [float(p.residuals @ p.residuals) for p in points]
 
 
 def _stall_fires(history, k):
@@ -397,13 +372,13 @@ class TestCompatibilitySearchCalls:
         search, restarts, events = _spied_search(0)
         ends = []
         for restart in restarts:
-            evaluated = [thetas for kind, thetas, _ in restart if kind == "evaluate"]
-            assert all(len(thetas) == 1 for thetas in evaluated)
-            assert len({thetas[0, :64].tobytes() for thetas in evaluated}) == len(evaluated)
+            evaluated = [theta for kind, theta, _ in restart if kind == "evaluate"]
+            assert all(theta.shape == (68,) for theta in evaluated)
+            assert len({theta[:64].tobytes() for theta in evaluated}) == len(evaluated)
             for before, (kind, theta, _) in zip(restart, restart[1:]):
                 if kind == "accept":
                     assert before[0] == "evaluate"
-                    assert np.array_equal(theta[:64], before[1][0, :64])
+                    assert np.array_equal(theta[:64], before[1][:64])
                     assert abs(theta[64:].sum()) < 1e-12
             reached, history = _reached(restart)
             differentiated = [point for kind, _, point in restart if kind == "jacobian"]
@@ -450,38 +425,6 @@ class TestCompatibilitySearchCalls:
         assert _reached(converged)[1] == _reached(converged_full)[1]
         assert cut.f == full.f and cut.restart == full.restart == 1
         assert full.jacobians - cut.jacobians == r4._SEARCH_MAX_ITERATIONS - k
-
-
-_finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _hermitian_matrices(draw):
-    parts = draw(st.lists(_finite, min_size=128, max_size=128))
-    raw = np.array(parts[:64]).reshape(8, 8) + 1j * np.array(parts[64:]).reshape(8, 8)
-    return raw + raw.conj().T
-
-
-class TestHermitianCoords:
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(_hermitian_matrices())
-    def test_gather_equals_mat_to_coords(self, mat):
-        expected = qs.mat_to_coords(mat)
-        assert np.abs(r4._hermitian_coords(mat) - expected).max() <= 1e-13 * (
-            1.0 + np.abs(expected).max())
-
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(_hermitian_matrices())
-    def test_norm_is_frobenius(self, mat):
-        norm = np.linalg.norm(mat)
-        assert abs(np.linalg.norm(r4._hermitian_coords(mat)) - norm) <= 1e-13 * (1.0 + norm)
-
-    def test_stack_reads_each_member(self, rng):
-        mats = rng.standard_normal((2, 3, 8, 8)) + 1j * rng.standard_normal((2, 3, 8, 8))
-        mats = mats + np.swapaxes(mats.conj(), -1, -2)
-        coords = r4._hermitian_coords(mats)
-        assert coords.shape == (2, 3, 64)
-        assert np.abs(coords[1, 2] - qs.mat_to_coords(mats[1, 2])).max() < 1e-13
 
 
 class TestClassifyType:
@@ -773,14 +716,17 @@ class TestConstructBiseparable:
 
     def test_criterion_04_leading_seeds_keep_their_path(self):
         """Criterion 04's seeds 0, 1 and 2 accept at these attempts with these
-        rejections. A search change that moves them changes the path, and a
-        time gained that way is luck, not speed."""
-        # attempts, then the sign_gate, search_not_converged and nonextremal rejections
-        expected = [(19, 15, 2, 1), (55, 52, 1, 1), (21, 17, 2, 1)]
-        for child, (attempts, sign_gate, not_converged, nonextremal) in zip(
-                np.random.SeedSequence(404).spawn(3), expected):
+        rejections, Jacobians and residual evaluations. A search change that
+        moves them changes the path or the work along it, and a time gained
+        that way is luck, not speed."""
+        # attempts, the sign_gate, search_not_converged and nonextremal
+        # rejections, then the Jacobians and evaluations
+        expected = [(19, 15, 2, 1, 79, 192), (55, 52, 1, 1, 76, 168), (21, 17, 2, 1, 59, 135)]
+        for child, (attempts, sign_gate, not_converged, nonextremal, jacobians,
+                    evaluations) in zip(np.random.SeedSequence(404).spawn(3), expected):
             result = r4.construct_biseparable(np.random.default_rng(child))
-            assert result.attempts == attempts
+            assert (result.attempts, result.jacobians, result.evaluations) == (
+                attempts, jacobians, evaluations)
             assert result.rejections == dict(
                 dict.fromkeys(r4._REJECTIONS, 0), sign_gate=sign_gate,
                 search_not_converged=not_converged, nonextremal=nonextremal)
@@ -801,11 +747,3 @@ class TestConstructBiseparable:
         s1, s2 = _dependence_singular_values(triple)
         # order 1e-1 for generic subspaces
         assert min(s1, s2) > 1e-2
-
-    def test_mixed_sign_orientation_is_realizable(self):
-        """Searches with a mixed sign pattern converge: the matrix is then
-        biseparable in two ways but cannot be positive semidefinite."""
-        rng = np.random.default_rng(11)
-        search = r4.compatible_subspace_search(rng, np.array([1.0, 1.0, -1.0, 1.0]),
-                                               inner_restarts=4)
-        assert search.f < 3e-8
