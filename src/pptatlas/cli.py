@@ -21,13 +21,13 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULT, Tolerances
-from .errors import BudgetExhausted, InvalidParameter, PptAtlasError
+from .errors import InvalidParameter, PptAtlasError
 from .extremal import descend_to_extremal, is_extremal, rank_square_bound, separability_probe
 from .invariants import InvariantFingerprint, fingerprint
 from .prodvec import upb_standard, upb_state
 from .qstate import PPT_INTERIOR, HermitianOperator, PptProfile, ppt_profile, random_ppt_state
 from .rank4 import construct_type1, construct_type2
-from .ranksearch import RankTargetProblem, minimize_sq, solve_targets
+from .ranksearch import RankTargetProblem, solve_targets
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -287,28 +287,19 @@ def cmd_search_ranks(targets, method: str = "cg", seed: int = 0,
                      tolerances: Tolerances = DEFAULT) -> StateRecord | None:
     """Search for a PPT state with the requested rank profile.
 
-    For "cg", the restarted block refinement, the budget counts restarts; for
-    the square-sum method it counts objective evaluations. Returns None on
-    failure.
+    The one method, "cg", is the restarted block refinement; the budget
+    counts restarts. Returns None on failure.
     """
+    if method != "cg":
+        raise ValueError(f"method must be 'cg', got {method!r}")
     targets = tuple(int(m) for m in targets)
     rng = np.random.default_rng(seed)
     problem = RankTargetProblem(targets)
-    if method == "cg":
-        result = solve_targets(problem, rng, restarts=budget, tolerances=tolerances,
-                               require_exact=True)
-        state = result.state if result.success else None
-    elif method == "sq":
-        try:
-            result = minimize_sq(problem, rng, budget=budget, tolerances=tolerances)
-            state = result.state
-        except BudgetExhausted:
-            state = None
-    else:
-        raise ValueError(f"method must be 'cg' or 'sq', got {method!r}")
-    if state is None:
+    result = solve_targets(problem, rng, restarts=budget, tolerances=tolerances,
+                           require_exact=True)
+    if not result.success:
         return None
-    record = annotate_state(state, {
+    record = annotate_state(result.state, {
         "method": f"search-ranks-{method}",
         "parameters": {"targets": list(targets), "budget": budget},
         "seed": int(seed),
@@ -474,13 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("search-ranks", help="search for a given rank profile")
     p_rank.add_argument("targets", type=_parse_targets, help="four ranks, e.g. 4444")
-    p_rank.add_argument("--method", choices=("cg", "sq"), default="cg",
+    p_rank.add_argument("--method", choices=("cg",), default="cg",
                         help="cg: Levenberg-Marquardt refinement of the subspace-block "
-                             "residual, restarted; sq: derivative-free square-sum")
+                             "residual, restarted")
     p_rank.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
     p_rank.add_argument("--budget", type=int, default=int(_env("BUDGET", 20)),
-                        help="restarts of the block refinement for cg; objective "
-                             "evaluations for sq (use ~100000 there)")
+                        help="restarts of the block refinement")
     p_rank.add_argument("--out", default=_env("OUT", None))
     _add_tolerance_flags(p_rank)
 

@@ -25,14 +25,6 @@ class MaxIterations(PptAtlasError):
     """An iterative search failed to make progress within its retry budget."""
 
 
-class BudgetExhausted(PptAtlasError):
-    """A randomized search used up its evaluation budget without success."""
-
-
-class MinimizationFailed(PptAtlasError):
-    """An eigenvalue square-sum minimization did not reach its target."""
-
-
 class BadArity(PptAtlasError):
     """A rank list has the wrong length for the requested party count."""
 

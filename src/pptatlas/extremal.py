@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import BadArity, MaxIterations, MinimizationFailed, NotPpt
+from .errors import BadArity, MaxIterations, NotPpt
 from .qstate import (
     DIM,
     HermitianOperator,
@@ -26,12 +26,10 @@ from .qstate import (
     all_ptransposes,
     factor_product_vector,
     hermitian_basis,
-    invariant_hermitian_basis,
     mat_to_coords,
     ppt_profile,
     ptranspose_mat,
     ptranspose_stack,
-    symmetrize_under_transposes,
     transpose_spectra,
 )
 
@@ -384,50 +382,6 @@ def rank_square_bound(ranks, n_parties: int = 3, total_dim: int = DIM) -> RankSq
     return RankSquareBound(bound, square_sum, square_sum <= bound)
 
 
-# ---------------------------------------------------------------------------
-# completely symmetric PPT states
-# ---------------------------------------------------------------------------
-
-def symmetric_state(rng: np.random.Generator, rank: int | None = None) -> HermitianOperator:
-    """PPT state symmetric under all three partial transpositions, hence real.
-
-    With rank None a positive matrix is averaged with its seven partial
-    transposes, which is positive with high probability (rank 8). With rank m
-    the square sum of the 8-m lowest eigenvalues is minimized inside the
-    27-dimensional completely symmetric subspace from up to 40 random
-    starts; raises MinimizationFailed if the objective cannot be brought
-    below 1e-16.
-    """
-    if rank is None:
-        for _ in range(200):
-            g = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))
-            sym = symmetrize_under_transposes(g @ g.conj().T, (1, 2, 3))
-            if np.linalg.eigvalsh(sym.mat).min() >= 0.0:
-                return sym.normalized()
-        raise MaxIterations("no positive completely symmetric matrix found")
-
-    if not 4 <= rank <= DIM:
-        raise ValueError(f"rank must be in 4..8, got {rank}")
-    from .ranksearch import RankTargetProblem, refine_block
-
-    problem = RankTargetProblem((rank,) * 4, invariant_hermitian_basis((1, 2, 3)))
-    for _ in range(40):
-        start = symmetric_state(rng)  # rank-8 seed inside the subspace
-        x0 = np.einsum("kab,ba->k", problem.basis, start.mat).real
-        x, f, _ = refine_block(problem, x0, f_target=1e-26)
-        if f >= 1e-16:
-            continue
-        state = problem.rho(x)
-        if state.trace() < 0:
-            state = HermitianOperator(-state.mat)
-        state = state.normalized()
-        profile = ppt_profile(state)
-        if profile.is_ppt and profile.ranks == (rank,) * 4:
-            # round to the exactly symmetric subspace
-            return symmetrize_under_transposes(state, (1, 2, 3)).normalized()
-    raise MinimizationFailed(f"rank-{rank} symmetric objective never reached 1e-16")
-
-
 __all__ = [
     "ExtremalityResult",
     "FaceOperators",
@@ -443,5 +397,4 @@ __all__ = [
     "line_search_to_boundary",
     "rank_square_bound",
     "separability_probe",
-    "symmetric_state",
 ]

@@ -207,10 +207,15 @@ def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
     """Product vectors of the given bipartition inside a 4-dim subspace.
 
     Solves the generalized eigenvalue problem of the two half-row slices; when
-    the pencil is degenerate, retries after a random product transformation of
-    the subspace and maps the solutions back. A generic subspace yields
-    exactly four vectors; fewer after all retries raises DegeneratePencil
-    (the subspace is non-generic, e.g. contains a continuum of products).
+    that gives fewer than four vectors, retries after a random product
+    transformation of the subspace and maps the solutions back. A generic
+    subspace yields exactly four vectors. A subspace that contains a
+    continuum of product vectors does not raise: four arbitrary members of
+    the continuum come back, through a pencil eigenvalue repeated four times
+    (|0> (x) C^4 for 1|23) or through the random-transform retry after a
+    singular pencil (the same subspace for 2|13 and 3|12), where they depend
+    on `rng`. DegeneratePencil is raised only when every retry still finds
+    fewer than four vectors.
     """
     if bipartition not in _ROW_SPLITS:
         raise ValueError(f"bipartition must be one of {BIPARTITIONS}, got {bipartition!r}")

@@ -97,23 +97,6 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho, dtype=complex)
 
 
-def eigh_fixed_phase(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with ascending eigenvalues and a fixed phase gauge.
-
-    The first component of each eigenvector whose magnitude is non-negligible
-    is made real and positive, so repeated runs produce identical vectors.
-    """
-    w, v = np.linalg.eigh(mat)
-    v = np.array(v)
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        mags = np.abs(col)
-        idx = int(np.argmax(mags > 1e-12 * mags.max()))
-        phase = col[idx] / mags[idx]
-        v[:, k] = col * phase.conjugate()
-    return w, v
-
-
 # ---------------------------------------------------------------------------
 # partial transpositions
 # ---------------------------------------------------------------------------
@@ -221,11 +204,6 @@ def pauli_decompose(a) -> LorentzTensor:
     return LorentzTensor(coeffs)
 
 
-def pauli_reconstruct(t: LorentzTensor) -> HermitianOperator:
-    mat = np.einsum("abc,abcij->ij", np.asarray(t.coeffs, dtype=float), _pauli_triple_basis())
-    return HermitianOperator(mat)
-
-
 # ---------------------------------------------------------------------------
 # rank profiles
 # ---------------------------------------------------------------------------
@@ -324,79 +302,32 @@ def random_unit_determinant(rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian bases, generic and transpose-symmetric
+# the Hermitian basis and coordinates
 # ---------------------------------------------------------------------------
 
-def _pt_position(i: int, j: int, k: int) -> tuple[int, int]:
-    # swap bit k of the row and column indices (k = 1 is the most significant bit)
-    b = 4 >> (k - 1)
-    return (i & ~b) | (j & b), (j & ~b) | (i & b)
+@lru_cache(maxsize=1)
+def hermitian_basis() -> np.ndarray:
+    """The standard orthonormal basis of the 64-dimensional real Hermitian
+    space under <A,B> = Tr(AB), read-only.
 
-
-def _position_orbits(transpositions: tuple[int, ...]):
-    """Orbits of matrix positions under the chosen partial transposes and
-    Hermitian conjugation, tracking whether each member carries a conjugation.
-
-    Yields (members, real_forced) with members a sorted list of
-    ((i, j), conjugated) pairs relative to the orbit representative.
+    Upper-triangle positions row by row: E_aa on the diagonal, and off it
+    (E_ab + E_ba)/sqrt2 followed by i(E_ab - E_ba)/sqrt2.
     """
-    seen: set[tuple[int, int]] = set()
-    orbits = []
-    for i0 in range(DIM):
-        for j0 in range(DIM):
-            if (i0, j0) in seen:
-                continue
-            flags: dict[tuple[int, int], bool] = {(i0, j0): False}
-            stack = [(i0, j0, False)]
-            real_forced = False
-            while stack:
-                i, j, f = stack.pop()
-                nexts = [(_pt_position(i, j, k), f) for k in transpositions]
-                nexts.append(((j, i), not f))
-                for pos, nf in nexts:
-                    if pos in flags:
-                        if flags[pos] != nf:
-                            real_forced = True
-                    else:
-                        flags[pos] = nf
-                        stack.append((pos[0], pos[1], nf))
-            members = sorted(flags.items())
-            seen.update(pos for pos, _ in members)
-            orbits.append((members, real_forced))
-    return orbits
-
-
-@lru_cache(maxsize=8)
-def invariant_hermitian_basis(transpositions: tuple[int, ...] = ()) -> np.ndarray:
-    """Orthonormal basis of Hermitian matrices fixed by the given partial transposes.
-
-    With no transpositions this is the standard 64-element Hermitian basis,
-    orthonormal under <A,B> = Tr(AB). With (1, 2, 3) it spans the completely
-    symmetric (hence real) subspace, of dimension 27; with (1, 2) the complex
-    subspace of dimension 36. Basis elements are exactly invariant because
-    entries within a position orbit are equal by construction.
-    """
+    val = 1.0 / np.sqrt(2)
     elements = []
-    for members, real_forced in _position_orbits(tuple(transpositions)):
-        n = len(members)
-        val = 1.0 / np.sqrt(n)
-        b_re = np.zeros((DIM, DIM), dtype=complex)
-        for (i, j), _ in members:
-            b_re[i, j] = val
-        elements.append(b_re)
-        if not real_forced:
+    for a in range(DIM):
+        diag = np.zeros((DIM, DIM), dtype=complex)
+        diag[a, a] = 1.0
+        elements.append(diag)
+        for b in range(a + 1, DIM):
+            b_re = np.zeros((DIM, DIM), dtype=complex)
+            b_re[a, b] = b_re[b, a] = val
             b_im = np.zeros((DIM, DIM), dtype=complex)
-            for (i, j), f in members:
-                b_im[i, j] = -1j * val if f else 1j * val
-            elements.append(b_im)
+            b_im[a, b], b_im[b, a] = 1j * val, -1j * val
+            elements += [b_re, b_im]
     basis = np.array(elements)
     basis.flags.writeable = False
     return basis
-
-
-def hermitian_basis() -> np.ndarray:
-    """The standard orthonormal basis of the 64-dimensional real Hermitian space."""
-    return invariant_hermitian_basis(())
 
 
 @lru_cache(maxsize=1)
@@ -430,38 +361,9 @@ def mat_to_coords(mats: np.ndarray) -> np.ndarray:
     return flat.reshape(*mats.shape[:-2], 2 * DIM * DIM)[..., index] * scale
 
 
-def coords_to_mat(x: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix with coordinates x in the standard basis."""
-    return np.einsum("k,kab->ab", np.asarray(x, dtype=float), hermitian_basis())
-
-
-def symmetrize_under_transposes(rho, transpositions: tuple[int, ...]) -> HermitianOperator:
-    """Orthogonal projection onto the subspace fixed by the given partial transposes.
-
-    Averages entries over position orbits, so the output equals each of its
-    own listed partial transposes bit-exactly.
-    """
-    mat = _as_matrix(rho)
-    mat = 0.5 * (mat + mat.conj().T)
-    out = np.zeros_like(mat)
-    for members, real_forced in _position_orbits(tuple(transpositions)):
-        vals = [mat[i, j].conjugate() if f else mat[i, j] for (i, j), f in members]
-        v = sum(vals) / len(vals)
-        if real_forced:
-            v = v.real
-        for (i, j), f in members:
-            out[i, j] = v.conjugate() if f else v
-    return HermitianOperator(out)
-
-
 # ---------------------------------------------------------------------------
 # random states
 # ---------------------------------------------------------------------------
-
-def random_hermitian(rng: np.random.Generator) -> HermitianOperator:
-    g = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))
-    return HermitianOperator(0.5 * (g + g.conj().T))
-
 
 def random_density(rng: np.random.Generator) -> HermitianOperator:
     """Random full-rank density matrix G G^dagger / Tr, Ginibre-induced."""
@@ -576,29 +478,23 @@ __all__ = [
     "PptProfile",
     "ProductVectorTriple",
     "all_ptransposes",
-    "coords_to_mat",
-    "eigh_fixed_phase",
     "factor_product_vector",
     "hermitian_basis",
-    "invariant_hermitian_basis",
     "invariant_tensor_E",
     "kron3",
     "mat_to_coords",
     "max_ppt_weight",
     "partial_transpose",
     "pauli_decompose",
-    "pauli_reconstruct",
     "ppt_profile",
     "product_transform",
     "product_vector",
     "projector",
     "ptranspose_mat",
     "random_density",
-    "random_hermitian",
     "random_ppt_state",
     "random_unit_determinant",
     "rank1_split",
     "split_product",
-    "symmetrize_under_transposes",
     "transpose_spectra",
 ]

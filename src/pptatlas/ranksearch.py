@@ -1,23 +1,22 @@
 """Search for PPT states with a prescribed rank profile (m0,m1,m2,m3).
 
-A candidate is written as rho(x) = sum_j x_j M_j over a basis of Hermitian
-matrices. The residual mu(x) collects the 8-m_i lowest eigenvalues of each
-partial transpose; rho(x) has the requested profile exactly when mu(x) = 0,
-and positivity of the retained spectrum is then automatic because the zeroed
-eigenvalues are the lowest ones. Two solvers are provided: a derivative-free
-square-sum minimizer and a Levenberg-damped Gauss-Newton refinement of the
-subspace-block residual (the CLI's `--method cg`).
+A candidate is written as rho(x) = sum_j x_j M_j over the 64-element
+Hermitian basis. The residual mu(x) collects the 8-m_i lowest eigenvalues of
+each partial transpose; rho(x) has the requested profile exactly when
+mu(x) = 0, and positivity of the retained spectrum is then automatic because
+the zeroed eigenvalues are the lowest ones. The one solver is a
+Levenberg-damped Gauss-Newton refinement of the subspace-block residual (the
+CLI's `--method cg`), restarted from random PPT states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import BudgetExhausted, NotAState
+from .errors import NotAState
 from .qstate import (
     DIM,
     HermitianOperator,
@@ -31,14 +30,11 @@ from .qstate import (
 
 @dataclass
 class RankTargetProblem:
-    """Rank targets plus the Hermitian basis spanning the search space.
-
-    The basis may be the full 64-element Hermitian basis or a restriction to
-    a transpose-symmetric subspace (27 or 36 dimensional).
-    """
+    """Rank targets plus the Hermitian basis spanning the search space,
+    hermitian_basis(), and its partial transposes."""
 
     targets: tuple[int, int, int, int]
-    basis: np.ndarray = field(default_factory=hermitian_basis)
+    basis: np.ndarray = field(init=False, repr=False)
     basis_pt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -46,7 +42,7 @@ class RankTargetProblem:
         if len(targets) != 4 or any(m < 1 or m > DIM for m in targets):
             raise ValueError(f"targets must be four ranks in 1..8, got {targets}")
         self.targets = targets
-        self.basis = np.asarray(self.basis)
+        self.basis = hermitian_basis()
         self.basis_pt = np.stack([ptranspose_stack(self.basis, i) for i in range(4)])
 
     @property
@@ -75,38 +71,6 @@ def objective(problem: RankTargetProblem, x: np.ndarray) -> float:
     return float(mu @ mu)
 
 
-class JacobianResult(NamedTuple):
-    matrix: np.ndarray  # (n_equations, n_parameters), real
-    degenerate: bool
-    min_gap: float
-
-
-def jacobian(problem: RankTargetProblem, x: np.ndarray) -> JacobianResult:
-    """First-order perturbation Jacobian d mu_k / d x_j = psi_k^dag M_j^Ti psi_k.
-
-    Based on nondegenerate perturbation theory; when two eigenvalues around
-    the rank cut are closer than 1e-6 the rows are unreliable and the
-    `degenerate` flag is set (not fatal, the iteration tolerates it).
-    """
-    mat = problem.rho_mat(x)
-    rows = []
-    min_gap = np.inf
-    for i in range(4):
-        n_zero = DIM - problem.targets[i]
-        if n_zero == 0:
-            continue
-        w, v = np.linalg.eigh(ptranspose_mat(mat, i))
-        vecs = v[:, :n_zero]
-        block = np.einsum("ak,jab,bk->kj", vecs.conj(), problem.basis_pt[i], vecs).real
-        rows.append(block)
-        gaps = np.diff(w[: min(n_zero + 1, DIM)])
-        if gaps.size:
-            min_gap = min(min_gap, float(gaps.min()))
-    matrix = np.vstack(rows) if rows else np.zeros((0, problem.n_parameters))
-    degenerate = bool(min_gap < 1e-6)
-    return JacobianResult(matrix, degenerate, float(min_gap))
-
-
 @dataclass
 class RankSearchResult:
     state: HermitianOperator | None
@@ -119,11 +83,9 @@ class RankSearchResult:
 
 
 def _random_start(problem: RankTargetProblem, rng: np.random.Generator) -> np.ndarray:
-    """Coordinates of a random PPT state projected into the search space.
+    """Coordinates of a random PPT state, scaled to unit Frobenius norm.
 
-    Starting PPT keeps the trivial full-rank targets feasible; the projection
-    onto a transpose-symmetry subspace is a group average of PPT states and
-    therefore stays PPT.
+    Starting PPT keeps the trivial full-rank targets feasible.
     """
     from .qstate import random_ppt_state
 
@@ -202,8 +164,8 @@ def refine_block(problem: RankTargetProblem, x0: np.ndarray,
                  ) -> tuple[np.ndarray, float, int]:
     """Levenberg-damped Gauss-Newton on the subspace-block residual.
 
-    Progress is measured by the eigenvalue square sum f, so the target has
-    the same meaning as for the other solvers. Returns (x, f, evaluations).
+    Progress is measured by the eigenvalue square sum f, the objective, not
+    by the block residual. Returns (x, f, evaluations).
     """
     x = x0 / np.linalg.norm(problem.rho_mat(x0))
     f = objective(problem, x)
@@ -269,69 +231,11 @@ def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
     return RankSearchResult(None, None, best_f, attempts, evals, False)
 
 
-def minimize_sq(problem: RankTargetProblem, rng: np.random.Generator,
-                budget: int = 200_000,
-                tolerances: Tolerances = DEFAULT) -> RankSearchResult:
-    """Derivative-free minimization of f(x) = sum mu_i(x)^2 by an adaptive
-    random-step descent with restarts; raises BudgetExhausted on failure."""
-    evals = 0
-    attempts = 0
-    k = problem.n_parameters
-    best_f = np.inf
-    while evals < budget:
-        attempts += 1
-        x = _random_start(problem, rng)
-        f = objective(problem, x)
-        evals += 1
-        scale = 0.3
-        stall = 0
-        while evals < budget:
-            xt = x + scale * rng.standard_normal(k)
-            # a trial counts against the budget even when its norm underflows
-            evals += 1
-            nrm = np.linalg.norm(problem.rho_mat(xt))
-            if nrm < 1e-300:
-                continue
-            xt /= nrm
-            ft = objective(problem, xt)
-            if ft < f:
-                x, f = xt, ft
-                scale = min(scale * 1.4, 1.0)
-                stall = 0
-            else:
-                scale = max(scale * 0.8, 1e-10)
-                stall += 1
-            if f < _F_TARGET:
-                x, f, extra = refine_block(problem, x, max_iters=12, f_target=_POLISH_TARGET)
-                evals += extra
-                state, profile = _validate(problem, x, tolerances)
-                if state is not None:
-                    return RankSearchResult(state, x, f, attempts, evals, True, profile)
-                break
-            if stall > 400:
-                break
-        best_f = min(best_f, f)
-    raise BudgetExhausted(
-        f"no profile {problem.targets} state within {budget} evaluations "
-        f"(best f = {best_f:.3e})"
-    )
-
-
-def symmetric_subspace_problem(targets, transpositions=(1, 2, 3)) -> RankTargetProblem:
-    from .qstate import invariant_hermitian_basis
-
-    return RankTargetProblem(tuple(targets), invariant_hermitian_basis(tuple(transpositions)))
-
-
 __all__ = [
-    "JacobianResult",
     "RankSearchResult",
     "RankTargetProblem",
     "eigen_residual",
-    "jacobian",
-    "minimize_sq",
     "objective",
     "refine_block",
     "solve_targets",
-    "symmetric_subspace_problem",
 ]

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from pptatlas.qstate import HermitianOperator, kron3, projector, random_ppt_state
+from pptatlas.qstate import (
+    DIM,
+    HermitianOperator,
+    kron3,
+    projector,
+    random_ppt_state,
+    transpose_spectra,
+)
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -18,6 +25,40 @@ def w_vector() -> np.ndarray:
     v = np.zeros(8)
     v[1] = v[2] = v[4] = 1.0
     return v / SQRT3
+
+
+def random_hermitian(rng) -> HermitianOperator:
+    """Hermitian part of a complex Ginibre matrix."""
+    g = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))
+    return HermitianOperator(0.5 * (g + g.conj().T))
+
+
+def block_jacobian_diagonal(problem, x) -> np.ndarray:
+    """The rows of ranksearch's block-residual Jacobian that differentiate the
+    diagonal entries of each zero-target block, in eigen_residual's order.
+    Away from eigenvalue crossings they are the derivatives of the lowest
+    eigenvalues (first-order perturbation theory)."""
+    from pptatlas.ranksearch import _block_residual_jacobian
+
+    _, jac = _block_residual_jacobian(problem, x)
+    rows, start = [], 0
+    for m in problem.targets:
+        z = DIM - m
+        for k in range(z):
+            # the block lists (k, k), then Re and Im of (k, l) for l > k
+            rows.append(start)
+            start += 1 + 2 * (z - 1 - k)
+    return jac[rows]
+
+
+def lowest_eigenvalue_gap(problem, x) -> float:
+    """Smallest gap among the 9-m_i lowest eigenvalues of each transpose of
+    rho(x): the zeroed ones and the first kept one. Perturbation theory, and
+    so block_jacobian_diagonal, is reliable only where it is not tiny."""
+    gaps = [np.diff(evs[:DIM - m + 1]).min()
+            for evs, m in zip(transpose_spectra(problem.rho_mat(x)), problem.targets)
+            if m < DIM]
+    return float(min(gaps, default=np.inf))
 
 
 def random_unit(rng, n):

@@ -239,6 +239,13 @@ class TestMainEntry:
             cli.main(["no-such-command"])
         assert info.value.code == 3
 
+    def test_cg_is_the_only_rank_search_method(self):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["search-ranks", "5555", "--method", "sq"])
+        assert info.value.code == 3
+        with pytest.raises(ValueError):
+            cli.cmd_search_ranks((5, 5, 5, 5), method="sq")
+
     def test_byte_identical_output_for_same_seed(self, capsys):
         cli.main(["search-extremal", "--runs", "3", "--seed", "21"])
         first = capsys.readouterr().out

@@ -3,7 +3,7 @@ import pytest
 
 from pptatlas import extremal as ex
 from pptatlas import qstate as qs
-from pptatlas.errors import BadArity, NotPpt
+from pptatlas.errors import BadArity, MaxIterations, NotPpt
 
 from conftest import ghz_vector, random_separable, random_unit
 
@@ -74,7 +74,8 @@ class TestIsExtremal:
             assert abs(np.trace(direction).real) < 1e-10
             coords = qs.mat_to_coords(direction)
             for k in range(4):
-                mapped = qs.coords_to_mat(ops.operators[k] @ coords)
+                mapped = np.einsum("l,lab->ab", ops.operators[k] @ coords,
+                                   qs.hermitian_basis())
                 assert np.linalg.norm(mapped - direction) < 1e-8
         gram = np.einsum("dab,eba->de", space.basis, space.basis).real
         assert np.abs(gram - np.eye(space.dimension)).max() < 1e-9
@@ -115,6 +116,21 @@ class TestLineSearchAndDescent:
         assert eps > 0
         assert min(np.linalg.eigvalsh(m).min()
                    for m in qs.all_ptransposes(boundary.mat)) >= -1e-9
+
+
+    def test_descent_raises_when_every_direction_fails(self, rng, monkeypatch):
+        """A boundary step of zero along every direction leaves the face
+        dimension where it is, and the descent gives up with MaxIterations."""
+        calls = []
+
+        def no_step(rho, sigma, tolerances):
+            calls.append(sigma)
+            return 0.0, rho
+
+        monkeypatch.setattr(ex, "line_search_to_boundary", no_step)
+        with pytest.raises(MaxIterations, match="face dimension stuck at 63"):
+            ex.descend_to_extremal(np.eye(8) / 8, rng)
+        assert len(calls) == ex._MAX_DIRECTION_RETRIES
 
 
 class TestSeparabilityProbe:
@@ -206,28 +222,3 @@ class TestRankSquareBound:
         with pytest.raises(BadArity):
             ex.rank_square_bound([0, 4, 4, 4])
 
-
-class TestSymmetricStates:
-    def test_transpose_sum_method(self, rng):
-        state = ex.symmetric_state(rng)
-        for k in (1, 2, 3):
-            assert np.array_equal(qs.ptranspose_mat(state.mat, k), state.mat)
-        assert np.abs(state.mat.imag).max() == 0.0
-        profile = qs.ppt_profile(state)
-        assert profile.is_ppt and profile.ranks == (8, 8, 8, 8)
-
-    def test_rank_targeted_4_extremal(self, rng):
-        for _ in range(3):
-            state = ex.symmetric_state(rng, rank=4)
-            assert qs.ppt_profile(state).ranks == (4, 4, 4, 4)
-            assert ex.is_extremal(state).extremal
-
-    def test_rank_targeted_7_not_extremal(self, rng):
-        state = ex.symmetric_state(rng, rank=7)
-        assert qs.ppt_profile(state).ranks == (7, 7, 7, 7)
-        assert not ex.is_extremal(state).extremal
-
-    def test_symmetric_states_equal_their_transposes(self, rng):
-        state = ex.symmetric_state(rng, rank=5)
-        for k in (1, 2, 3):
-            assert np.array_equal(qs.ptranspose_mat(state.mat, k), state.mat)

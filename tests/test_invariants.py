@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from pptatlas import invariants as inv
 from pptatlas import qstate as qs
+from pptatlas.errors import InvariantMismatch
 
 from conftest import random_separable, random_unit
 
@@ -37,6 +39,16 @@ class TestQuadraticInvariant:
     def test_nonnegative_on_psd(self, rng):
         for _ in range(20):
             assert inv.quadratic_invariant(qs.random_density(rng)) >= -1e-12
+
+    def test_forms_of_different_matrices_mismatch(self, rng):
+        """The trace form reads the matrix and the contraction form its Pauli
+        tensor; given the tensor of another matrix they disagree."""
+        mat = qs.random_ppt_state(rng).mat
+        other = qs.pauli_decompose(qs.random_ppt_state(rng)).coeffs
+        assert abs(inv._checked_quadratic(mat, qs.pauli_decompose(mat).coeffs)
+                   - inv.quadratic_invariant(mat)) == 0.0
+        with pytest.raises(InvariantMismatch, match="trace form"):
+            inv._checked_quadratic(mat, other)
 
     def test_pure_state_identity(self, rng):
         """Tr(rho^T E rho E) = -|psi^T E psi|^2 for pure states."""

@@ -11,6 +11,7 @@ from conftest import (
     ZeroRng,
     ghz_vector,
     ppt_states,
+    random_hermitian,
     random_product_vector,
     random_unit,
     reference_partial_transpose,
@@ -64,7 +65,7 @@ class TestPartialTranspose:
         """The stacked spectra agree with eigvalsh of the reference transposes
         and are bit-equal to eigvalsh called on each transpose separately."""
         for _ in range(10):
-            for mat in (qs.random_density(rng).mat, qs.random_hermitian(rng).mat):
+            for mat in (qs.random_density(rng).mat, random_hermitian(rng).mat):
                 spectra = qs.transpose_spectra(mat)
                 assert spectra.shape == (4, 8)
                 for k in range(4):
@@ -91,12 +92,12 @@ class TestPartialTranspose:
             assert np.array_equal(qs.ptranspose_mat(diag, k), diag)
 
     def test_involution_exact(self, rng):
-        mat = qs.random_hermitian(rng).mat
+        mat = random_hermitian(rng).mat
         for k in (1, 2, 3):
             assert np.array_equal(qs.ptranspose_mat(qs.ptranspose_mat(mat, k), k), mat)
 
     def test_pairwise_commute(self, rng):
-        mat = qs.random_hermitian(rng).mat
+        mat = random_hermitian(rng).mat
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 assert np.array_equal(
@@ -105,12 +106,12 @@ class TestPartialTranspose:
                 )
 
     def test_t1_t2_t3_is_full_transpose(self, rng):
-        mat = qs.random_hermitian(rng).mat
+        mat = random_hermitian(rng).mat
         full = qs.ptranspose_mat(qs.ptranspose_mat(qs.ptranspose_mat(mat, 1), 2), 3)
         assert np.array_equal(full, mat.T)
 
     def test_transpose_preserves_spectrum(self, rng):
-        mat = qs.random_hermitian(rng).mat
+        mat = random_hermitian(rng).mat
         assert np.allclose(np.linalg.eigvalsh(mat), np.linalg.eigvalsh(mat.T), atol=1e-12)
 
     def test_ghz_t1_minimum_eigenvalue(self):
@@ -119,7 +120,7 @@ class TestPartialTranspose:
         assert abs(evs.min() - (-0.5)) < 1e-12
 
     def test_hermiticity_preserved(self, rng):
-        rho = qs.random_hermitian(rng)
+        rho = random_hermitian(rng)
         for k in (1, 2, 3):
             pt = qs.partial_transpose(rho, k).mat
             assert np.abs(pt - pt.conj().T).max() == 0.0
@@ -178,12 +179,14 @@ class TestPauliExpansion:
 
     def test_round_trip(self, rng):
         for _ in range(10):
-            rho = qs.random_hermitian(rng)
-            back = qs.pauli_reconstruct(qs.pauli_decompose(rho))
-            assert np.abs(back.mat - rho.mat).max() < 1e-12
+            rho = random_hermitian(rng)
+            coeffs = qs.pauli_decompose(rho).coeffs
+            back = sum(coeffs[a, b, c] * qs.kron3(qs.PAULI[a], qs.PAULI[b], qs.PAULI[c])
+                       for a in range(4) for b in range(4) for c in range(4))
+            assert np.abs(back - rho.mat).max() < 1e-12
 
     def test_coefficients_real(self, rng):
-        t = qs.pauli_decompose(qs.random_hermitian(rng))
+        t = qs.pauli_decompose(random_hermitian(rng))
         assert t.coeffs.dtype.kind == "f"
 
 
@@ -280,39 +283,16 @@ class TestHermitianBases:
     def test_full_dimension(self):
         assert qs.hermitian_basis().shape == (64, 8, 8)
 
-    def test_fully_symmetric_dimension_27(self):
-        assert qs.invariant_hermitian_basis((1, 2, 3)).shape[0] == 27
-
-    def test_two_transpose_dimension_36(self):
-        assert qs.invariant_hermitian_basis((1, 2)).shape[0] == 36
-
-    @pytest.mark.parametrize("subset", [(), (1, 2), (1, 2, 3)])
-    def test_orthonormal(self, subset):
-        basis = qs.invariant_hermitian_basis(subset)
+    def test_orthonormal(self):
+        basis = qs.hermitian_basis()
         gram = np.einsum("kab,lba->kl", basis, basis).real
         assert np.abs(gram - np.eye(len(basis))).max() < 1e-14
 
-    def test_symmetric_basis_exactly_invariant(self):
-        basis = qs.invariant_hermitian_basis((1, 2, 3))
-        for element in basis:
-            for k in (1, 2, 3):
-                assert np.array_equal(qs.ptranspose_mat(np.asarray(element), k),
-                                      np.asarray(element))
-
-    def test_fully_symmetric_hermitian_is_real(self):
-        basis = qs.invariant_hermitian_basis((1, 2, 3))
-        assert max(np.abs(np.asarray(b).imag).max() for b in basis) == 0.0
-
     def test_coordinate_round_trip(self, rng):
-        mat = qs.random_hermitian(rng).mat
+        mat = random_hermitian(rng).mat
         coords = qs.mat_to_coords(mat)
-        assert np.abs(qs.coords_to_mat(coords) - mat).max() < 1e-13
-
-    def test_symmetrize_projects_exactly(self, rng):
-        sym = qs.symmetrize_under_transposes(qs.random_hermitian(rng), (1, 2, 3))
-        for k in (1, 2, 3):
-            assert np.array_equal(qs.ptranspose_mat(sym.mat, k), sym.mat)
-        assert np.abs(sym.mat.imag).max() == 0.0
+        back = np.einsum("k,kab->ab", coords, qs.hermitian_basis())
+        assert np.abs(back - mat).max() < 1e-13
 
 
 _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -359,7 +339,7 @@ class TestHermitianOperator:
         assert np.abs(op.mat - op.mat.conj().T).max() == 0.0
 
     def test_immutable(self, rng):
-        op = qs.random_hermitian(rng)
+        op = random_hermitian(rng)
         with pytest.raises((AttributeError, ValueError)):
             op.mat = np.eye(8)
         with pytest.raises(ValueError):
@@ -368,16 +348,6 @@ class TestHermitianOperator:
     def test_normalized(self, rng):
         state = qs.random_density(rng)
         assert abs((3.7 * state).normalized().trace() - 1.0) < 1e-14
-
-    def test_eigh_phase_convention_deterministic(self, rng):
-        mat = qs.random_hermitian(rng).mat
-        _, v1 = qs.eigh_fixed_phase(mat)
-        _, v2 = qs.eigh_fixed_phase(mat.copy())
-        assert np.array_equal(v1, v2)
-        for k in range(8):
-            col = v1[:, k]
-            lead = col[np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())]
-            assert abs(lead.imag) < 1e-12 and lead.real > 0
 
 
 class TestProductVectors:

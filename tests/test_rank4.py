@@ -9,7 +9,7 @@ from pptatlas import invariants as inv
 from pptatlas import prodvec as pv
 from pptatlas import qstate as qs
 from pptatlas import rank4 as r4
-from pptatlas.errors import DegenerateDraw, InvalidParameter, NotRank4
+from pptatlas.errors import DegenerateDraw, InvalidParameter, MaxIterations, NotRank4
 
 from conftest import ZeroRng
 
@@ -730,6 +730,27 @@ class TestConstructBiseparable:
             assert result.rejections == dict(
                 dict.fromkeys(r4._REJECTIONS, 0), sign_gate=sign_gate,
                 search_not_converged=not_converged, nonextremal=nonextremal)
+
+    def test_gives_up_after_the_attempt_cap(self, monkeypatch):
+        """When no search converges, every attempt is rejected at the sign gate
+        or as not converged, and MaxIterations lists those rejections."""
+        calls = []
+
+        def never_converges(rng, start_frame=None):
+            calls.append(start_frame)
+            return r4.CompatibilitySearch(None, np.inf, None, 0, 1,
+                                          dict.fromkeys(r4._RESTART_ENDS, 0))
+
+        monkeypatch.setattr(r4, "compatible_subspace_search", never_converges)
+        with pytest.raises(MaxIterations) as caught:
+            r4.construct_biseparable(np.random.default_rng(0))
+        message = str(caught.value)
+        assert f"within {r4._CONSTRUCTION_MAX_ATTEMPTS} attempts" in message
+        rejections = dict(dict.fromkeys(r4._REJECTIONS, 0),
+                          sign_gate=r4._CONSTRUCTION_MAX_ATTEMPTS - len(calls),
+                          search_not_converged=len(calls))
+        assert f"rejections {rejections}" in message
+        assert 0 < len(calls) < r4._CONSTRUCTION_MAX_ATTEMPTS
 
     def test_generic_subspace_has_no_dependence(self, rng):
         """Without minimization the two dependence tests fail by a wide margin."""
