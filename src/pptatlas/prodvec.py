@@ -102,9 +102,31 @@ def _factor_candidate(phi: np.ndarray, bipartition: str,
                                pencil_eigenvalue=mu)
 
 
+def _ray_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """1 - |<a, b>| / (|a| |b|): 0 when a and b span one ray."""
+    return 1.0 - abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
 def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
-    overlap = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return 1.0 - overlap < 1e-8
+    return _ray_gap(a, b) < 1e-8
+
+
+def _distinct_factors(found: list[ProductVectorTriple], bipartition: str
+                      ) -> list[ProductVectorTriple]:
+    """found sorted by _mu_sort_key; DegeneratePencil when two of them share
+    their two-dimensional factor a: then the subspace holds a (x) span(b1, b2),
+    a continuum of product vectors, and any four of it would do."""
+    found.sort(key=_mu_sort_key)
+    slot = f"factor{BIPARTITIONS.index(bipartition) + 1}"
+    for i in range(4):
+        for j in range(i + 1, 4):
+            gap = _ray_gap(getattr(found[i], slot), getattr(found[j], slot))
+            if gap < 1e-8:
+                raise DegeneratePencil(
+                    f"product vectors {i + 1} and {j + 1} of bipartition {bipartition} share "
+                    f"their {slot} (overlap gap {gap:.1e}): the subspace contains a "
+                    "continuum of product vectors")
+    return found
 
 
 def _mu_sort_key(triple: ProductVectorTriple):
@@ -209,21 +231,22 @@ def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
     Solves the generalized eigenvalue problem of the two half-row slices; when
     that gives fewer than four vectors, retries after a random product
     transformation of the subspace and maps the solutions back. A generic
-    subspace yields exactly four vectors. A subspace that contains a
-    continuum of product vectors does not raise: four arbitrary members of
-    the continuum come back, through a pencil eigenvalue repeated four times
-    (|0> (x) C^4 for 1|23) or through the random-transform retry after a
-    singular pencil (the same subspace for 2|13 and 3|12), where they depend
-    on `rng`. DegeneratePencil is raised only when every retry still finds
-    fewer than four vectors.
+    subspace yields exactly four vectors, with four distinct two-dimensional
+    factors. Raises DegeneratePencil when every retry still finds fewer than
+    four vectors, and when two of the four share their two-dimensional factor
+    a: the subspace then contains the continuum a (x) span(b1, b2), as
+    |0> (x) C^4 does for 1|23, where the pencil has one eigenvalue four times.
+    A continuum whose vectors differ in that factor is not caught: on the
+    same subspace the 2|13 and 3|12 pencils are singular, and the
+    random-transform retry returns four `rng`-dependent members of it. That
+    stays until the retry and its `rng` go.
     """
     if bipartition not in _ROW_SPLITS:
         raise ValueError(f"bipartition must be one of {BIPARTITIONS}, got {bipartition!r}")
     psi = basis.psi
     found = _solve_pencil(psi, bipartition)
     if len(found) == 4:
-        found.sort(key=_mu_sort_key)
-        return found
+        return _distinct_factors(found, bipartition)
 
     rng = rng if rng is not None else np.random.default_rng(0)
     proj = psi @ psi.conj().T
@@ -246,8 +269,7 @@ def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
                 continue
             found.append(triple)
         if len(found) == 4:
-            found.sort(key=_mu_sort_key)
-            return found
+            return _distinct_factors(found, bipartition)
         if len(found) > len(best):
             best = found
     raise DegeneratePencil(
@@ -258,11 +280,11 @@ def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
 
 def full_product_vectors_in_subspace(basis: SubspaceBasis) -> list[ProductVectorTriple]:
     """The 2x2x2 product vectors in the subspace: candidates of one pencil
-    that also factor completely. Generic subspaces contain none."""
-    try:
-        candidates = product_vectors_in_subspace(basis, "1|23")
-    except DegeneratePencil:
-        candidates = []
+    that also factor completely. Generic subspaces contain none. Raises
+    DegeneratePencil where product_vectors_in_subspace does for 1|23: a
+    continuum a (x) span(b1, b2) holds full product vectors, so an empty
+    list would be wrong."""
+    candidates = product_vectors_in_subspace(basis, "1|23")
     return [c for c in candidates
             if c.factor1 is not None and c.factor2 is not None and c.factor3 is not None
             and c.product_residual() < 1e-8]

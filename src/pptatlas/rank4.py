@@ -38,6 +38,7 @@ from .qstate import (
     EPSILON,
     HermitianOperator,
     _as_matrix,
+    _coordinate_gather,
     invariant_tensor_E,
     kron3,
     mat_to_coords,
@@ -54,11 +55,33 @@ def _form(u: np.ndarray) -> complex:
     return u @ _EE @ u
 
 
+def _upper_entries() -> tuple[np.ndarray, ...]:
+    """Row and column (36,) of the upper-triangle entries that mat_to_coords
+    reads, and the index (64,) of each coordinate in the flat real view of
+    those entries, with its scale."""
+    index, scale = _coordinate_gather()
+    entry, part = np.divmod(index, 2)
+    upper, position = np.unique(entry, return_inverse=True)
+    return *np.divmod(upper, DIM), 2 * position + part, scale
+
+
+_UPPER_ROW, _UPPER_COL, _UPPER_COORD, _UPPER_SCALE = _upper_entries()
+# the upper entries, then their mirrors
+_MIRRORED_ROW = np.concatenate([_UPPER_ROW, _UPPER_COL])
+_MIRRORED_COL = np.concatenate([_UPPER_COL, _UPPER_ROW])
+
+
+def _upper_to_coords(entries: np.ndarray) -> np.ndarray:
+    """hermitian_basis() coordinates (..., 64) of Hermitian matrices given by
+    their entries (..., 36) at _UPPER_ROW, _UPPER_COL."""
+    return np.ascontiguousarray(entries).view(float)[..., _UPPER_COORD] * _UPPER_SCALE
+
+
 def _projector_coords(cols: np.ndarray) -> np.ndarray:
     """Hermitian-basis coordinates of the projector onto each column of a
     stack of 8xc frames, shape (..., 8, c) -> (..., c, 64)."""
     v = np.swapaxes(cols, -1, -2)
-    return mat_to_coords(v[..., :, None] * v.conj()[..., None, :])
+    return _upper_to_coords(v[..., _UPPER_ROW] * v.conj()[..., _UPPER_COL])
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +479,43 @@ def biseparable_triple(rho, rng: np.random.Generator | None = None) -> Biseparab
 
 def _matching_order(new: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Column order (k, 4) that makes each 8x4 block of new (k, 8, 4) follow
-    the matching block of ref, pairing the largest remaining overlaps first."""
+    the matching block of ref: greedy pairing, the largest remaining overlap
+    first and, among equal ones, the first in row-major order.
+
+    When the first largest overlap of each row of a block lies in a column of
+    its own, as it nearly always does one damped step from the reference,
+    greedy pairing takes exactly those: every row keeps its first largest
+    entry until it is paired, so the largest remaining entry is always one of
+    them. Only the other blocks run the pairing loop."""
     overlap = np.abs(_adjoint(ref) @ new)
-    rows = np.arange(len(overlap))
-    order = np.zeros((len(overlap), 4), dtype=int)
-    for _ in range(4):
-        i, j = np.divmod(overlap.reshape(-1, 16).argmax(axis=1), 4)
-        order[rows, i] = j
-        overlap[rows, i, :] = -1.0
-        overlap[rows, :, j] = -1.0
+    order = overlap.argmax(axis=-1)
+    for k, row in enumerate(order.tolist()):
+        if len(set(row)) < 4:
+            order[k] = _greedy_pairing(overlap[k])
     return order
+
+
+def _greedy_pairing(overlap: np.ndarray) -> np.ndarray:
+    """Greedy column order (4,) of one 4x4 overlap block, which it overwrites."""
+    order = np.zeros(4, dtype=int)
+    for _ in range(4):
+        i, j = divmod(int(overlap.argmax()), 4)
+        order[i] = j
+        overlap[i, :] = overlap[:, j] = -1.0
+    return order
+
+
+# flat indices of column 0 of each row of a (3, 14, 4) column stack
+_GATHER = 56 * np.arange(3)[:, None, None] + 4 * np.arange(14)[:, None]
+
+
+def _matched_columns(vecs: np.ndarray, norms: np.ndarray, eigvals: np.ndarray,
+                     eigvecs: np.ndarray, reference: np.ndarray) -> tuple[np.ndarray, ...]:
+    """vecs (3, 8, 4), norms (3, 4), eigvals (3, 4) and eigvecs (3, 4, 4) with
+    their columns in _matching_order(vecs, reference), moved by one gather."""
+    stack = np.concatenate([vecs, eigvecs, eigvals[:, None], norms[:, None]], axis=1)
+    stack = stack.ravel()[_GATHER + _matching_order(vecs, reference)[:, None, :]]
+    return stack[:, :8], stack[:, 13].real, stack[:, 12], stack[:, 8:12]
 
 
 def _adjoint(mats: np.ndarray) -> np.ndarray:
@@ -490,6 +540,30 @@ _PENCIL_GAP_FLOOR = 1e-8   # smallest relative pencil-eigenvalue gap the Jacobia
 # pencil blocks of the frame rows, one per bipartition: (3, 4) row indices
 _TOP_ROWS = np.array([_ROW_SPLITS[bp][0] for bp in BIPARTITIONS])
 _BOTTOM_ROWS = np.array([_ROW_SPLITS[bp][1] for bp in BIPARTITIONS])
+_SPLIT_ROWS = np.stack([_TOP_ROWS, _BOTTOM_ROWS], axis=2)      # (3, 4, 2)
+_PENCILS = np.arange(3)[:, None]
+_COLS = np.arange(4)                                           # pencil column j
+_PHASES = np.array([1.0, 1j])[:, None, None]
+
+_IDENTITY = np.eye(4)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+
+
+def _basis_index() -> np.ndarray:
+    """Where each entry of the Jacobian's direction basis (36, 68) comes from
+    in [0, 1, P, -P], P the flat (Re, Im) view of the 8x4 complement basis:
+    row 4b + c is dX = P e_b e_c^T, row 16 + 4b + c is i P e_b e_c^T, as
+    (Re X, Im X), and row 32 + i is the log-weight i."""
+    index = np.zeros((36, 68), dtype=np.intp)
+    b, c, x = np.indices((4, 4, DIM))
+    row, col, re = 4 * b + c, 4 * x + c, 2 + 2 * (4 * x + b)
+    index[row, col], index[row, 32 + col] = re, re + 1
+    index[16 + row, col], index[16 + row, 32 + col] = 65 + re, re
+    index[32 + np.arange(4), 64 + np.arange(4)] = 1
+    return index
+
+
+_BASIS_INDEX = _basis_index()
 
 
 class _Frame(NamedTuple):
@@ -576,11 +650,8 @@ class _CompatibilityResidual:
             return None
         vecs = phis / norms[:, None, :]
         if self.reference is not None:
-            order = _matching_order(vecs, self.reference)
-            vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-            norms = np.take_along_axis(norms, order, axis=-1)
-            eigvals = np.take_along_axis(eigvals, order, axis=-1)
-            eigvecs = np.take_along_axis(eigvecs, order[:, None, :], axis=-1)
+            vecs, norms, eigvals, eigvecs = _matched_columns(vecs, norms, eigvals, eigvecs,
+                                                             self.reference)
         if update_reference:
             self.reference = vecs
         overlap = _adjoint(vecs) @ vecs
@@ -621,8 +692,7 @@ class _CompatibilityResidual:
         frame = point.frame
         psi, vecs, eigvals, eigvecs = frame.psi, frame.vecs, frame.eigvals, frame.eigvecs
         gaps = eigvals[:, None, :] - eigvals[:, :, None]        # l_j - l_i
-        off = ~np.eye(4, dtype=bool)
-        rel_gap = (np.abs(gaps[:, off]).min(axis=1) / np.abs(eigvals).max(axis=1)).min()
+        rel_gap = (np.abs(gaps[:, _OFF_DIAGONAL]).min(axis=1) / np.abs(eigvals).max(axis=1)).min()
         if not rel_gap >= _PENCIL_GAP_FLOOR:
             raise np.linalg.LinAlgError(f"relative pencil eigenvalue gap {rel_gap:.1e}")
 
@@ -632,78 +702,92 @@ class _CompatibilityResidual:
         # V^-1 dC V = U (P_A Z Y - P_B Z Y L), with U = (B V)^-1, Y = R^-1 V
         # and P_A, P_B the rows of P in A and B; dV = V (F o V^-1 dC V) with
         # F_ij = 1 / (l_j - l_i); and dPhi = P Z Y + Phi (F o V^-1 dC V).
-        # For Z = e_b e_c^T this factorizes as dPhi[x, j] = K[b, x, j] Y[c, j].
+        # For Z = e_b e_c^T this factorizes as dPhi[x, j] = K[x, b, j] Y[c, j],
+        # and along i Z, dPhi moves i times as far: the 16 complex directions
+        # Z give all 32 real ones.
         perp = np.linalg.qr(psi, mode="complete")[0][:, 4:]
-        inv_gaps = np.zeros_like(gaps)
-        inv_gaps[:, off] = 1.0 / gaps[:, off]
+        inv_gaps = _OFF_DIAGONAL / (gaps + _IDENTITY)
         phis = psi @ eigvecs
-        u_mat = np.linalg.inv(np.take_along_axis(phis, _BOTTOM_ROWS[:, :, None], axis=1))
-        y_mat = np.linalg.inv(frame.upper) @ eigvecs
-        u_top, u_bottom = u_mat @ perp[_TOP_ROWS], u_mat @ perp[_BOTTOM_ROWS]
-        inner = inv_gaps[..., None] * (u_top[:, :, None] - eigvals[:, None, :, None]
-                                       * u_bottom[:, :, None])
-        k_mat = perp.T[:, :, None] + np.einsum("kxi,kijb->kbxj", phis, inner)
-        dphi = (k_mat[:, :, None] * y_mat[:, None, :, None, :]).reshape(3, 16, DIM, 4)
-        # dPhi is complex-linear in Z, so an imaginary Z moves it i times as
-        # far, and the log-weights do not move it
-        dphi = np.concatenate([dphi, 1j * dphi, np.zeros((3, 4, DIM, 4))], axis=1)
-        n_par = dphi.shape[1]
-        # unit columns: d(phi / |phi|) = (dphi - v Re(v^dag dphi)) / |phi|
-        radial = (vecs.conj()[:, None] * dphi).sum(axis=-2).real
-        dvecs = (dphi - vecs[:, None] * radial[..., None, :]) / frame.norms[:, None, None, :]
+        y_mat = np.linalg.solve(frame.upper, eigvecs)
+        u_split = np.linalg.solve(phis[_PENCILS, _BOTTOM_ROWS],
+                                  perp[_SPLIT_ROWS].reshape(3, 4, 8))   # [U P_A, U P_B]
+        inner = inv_gaps[:, :, None, :] * (u_split[..., :4, None] - eigvals[:, None, None, :]
+                                           * u_split[..., 4:, None])
+        k_mat = perp[:, :, None] + (phis @ inner.reshape(3, 4, 16)).reshape(3, DIM, 4, 4)
 
-        # M = E diag(w) E^dag and its normalization
-        e, de, logw = vecs[0], dvecs[0], point.logw
-        weighted = np.exp(logw)
-        half = ((de * weighted).reshape(-1, 4) @ e.conj().T).reshape(n_par, DIM, DIM)
-        dm = half + _adjoint(half)
-        # the log-weights, through the tanh cap: dw_i = w_i (1 - (logw_i / cap)^2)
-        dm[32:] += ((weighted * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None, None]
-                    * (e.T[:, :, None] * e.T.conj()[:, None, :]))
-        mhat, scale = point.mhat, point.scale
-        dscale = (dm.reshape(n_par, -1) @ mhat.conj().ravel()).real
-        dmhat = (dm - mhat * dscale[:, None, None]) / scale
+        # The unit columns v = phi / |phi| move along s Z, s = 1 or i, by
+        # dv_j = (dphi_j - v_j Re(v_j^dag dphi_j)) / |phi_j| = a_cj K_bj - rho_bcj v_j,
+        # with a_cj = s Y_cj / |phi_j| and rho_bcj = Re(a_cj v_j^dag K_bj): one
+        # complex v_j^dag K_bj serves both. dv is never formed; its products
+        # with W = V and W = mhat V are built from K^dag W and V^dag W.
+        logw, mhat, coef = point.logw, point.mhat, point.coef
+        w_mat = np.concatenate([vecs, mhat @ vecs], axis=2)             # W = [V, mhat V]
+        kdag_w = (_adjoint(k_mat.reshape(3, DIM, 16)) @ w_mat).reshape(3, 4, 4, 8)
+        vdag_w = _adjoint(vecs) @ w_mat
+        y_unit = y_mat / frame.norms[:, None, :]
+        a_dir = _PHASES * y_unit[:, None]                                 # (3, s, c, j)
+        radial = kdag_w[:, None, :, None, _COLS, _COLS].conj() * a_dir[:, :, None]
+        rho = radial.real                                                # (3, s, b, c, j)
+        # dv^dag W for W = [V, mhat V], one row per direction: (3, 32, 4, 8)
+        dvdag_w = (a_dir.conj()[:, :, None, :, :, None] * kdag_w[:, None, :, None]
+                   - rho[..., None] * vdag_w[:, None, None, None]).reshape(3, 32, 4, 8)
 
-        # the leftovers M - F diag(c) F^dag, with |F^dag F|^2 c = diag(F^dag M F)
-        others, dothers = vecs[1:], dvecs[1:]
-        overlap, coef = frame.overlap[1:], point.coef
-        dfdag_f = (_adjoint(dothers).reshape(2, -1, DIM) @ others).reshape(2, n_par, 4, 4)
-        dgram = 2.0 * (overlap.conj()[:, None] * (dfdag_f + _adjoint(dfdag_f))).real
-        drhs = 2.0 * (dothers.conj() * (mhat @ others)[:, None]).sum(axis=-2).real
-        dmhat_f = (dmhat.reshape(-1, DIM) @ np.concatenate(others, axis=1)).reshape(
-            n_par, DIM, 2, 4).transpose(2, 0, 1, 3)
-        drhs += (others.conj()[:, None] * dmhat_f).sum(axis=-2).real
-        dcoef = np.einsum("kij,ktj->kti", np.linalg.inv(np.abs(overlap) ** 2),
-                          drhs - np.einsum("ktij,kj->kti", dgram, coef))
-        half = ((dothers * coef[:, None, None, :]).reshape(2, -1, 4)
-                @ _adjoint(others)).reshape(2, n_par, DIM, DIM)
-        projs = np.swapaxes(others, 1, 2)
-        projs = (projs[..., :, None] * projs.conj()[..., None, :]).reshape(2, 4, -1)
-        dleft = (dmhat - half - _adjoint(half)
-                 - (dcoef @ projs).reshape(2, n_par, DIM, DIM))
-        jac = [np.swapaxes(mat_to_coords(dleft), 1, 2).reshape(-1, n_par)]
+        # Everything else is in hermitian_basis() coordinates, where the trace
+        # form Tr(A B) of Hermitian matrices is a dot product. A frame
+        # direction moves the product V D V^dag of a bipartition's columns by
+        # H + H^dag, H = dV D V^dag = sum_j d_j a_cj K_bj v_j^dag - d_j rho_bcj v_j v_j^dag:
+        # D = diag(w) for the candidate M = E diag(w) E^dag, diag(c) for the
+        # fitted combinations of the other two. The coordinates read only the
+        # upper triangle of H + H^dag. The log-weights move only M, through
+        # the tanh cap: dw_i = w_i (1 - (logw_i / cap)^2).
+        weights = np.exp(logw)
+        diag = np.concatenate([weights[None], coef])
+        # K_bj v_j^dag at the upper entries and at their mirrors: (3, j, b, 72)
+        mirrored = (k_mat.transpose(0, 3, 2, 1)[..., _MIRRORED_ROW]
+                    * np.swapaxes(vecs.conj(), 1, 2)[:, :, None, _MIRRORED_COL])
+        upper = ((diag[:, None, None] * a_dir).reshape(3, 8, 4)
+                 @ mirrored.reshape(3, 4, -1)).reshape(3, 2, 4, 4, 72)  # (3, s, c, b, 72)
+        upper = np.swapaxes(upper[..., :36] + upper[..., 36:].conj(), 2, 3)
+        projs = _projector_coords(vecs)                                   # (3, 4, 64)
+        moved = (_upper_to_coords(upper).reshape(3, 32, 64)
+                 - 2.0 * (diag[:, None, None, None] * rho).reshape(3, 32, 4) @ projs)
+        dm = np.concatenate([moved[0], (weights * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None]
+                             * projs[0]])
+        # M's normalization: mhat = M / |M|, d|M| = <mhat, dM>
+        mhat_coords = mat_to_coords(mhat)
+        dmhat = (dm - (dm @ mhat_coords)[:, None] * mhat_coords) / point.scale
+
+        # the leftovers mhat - F diag(c) F^dag, with |F^dag F|^2 c = diag(F^dag mhat F);
+        # d|F^dag F|^2 = 2 (T + T^T) with T = Re(conj(F^dag F) o dF^dag F)
+        overlap = frame.overlap[1:]
+        half_dgram = (overlap.conj()[:, None] * dvdag_w[1:, :, :, :4]).real
+        drhs = dmhat @ np.swapaxes(projs[1:], 1, 2)
+        dgram_coef = ((half_dgram + np.swapaxes(half_dgram, 2, 3)).reshape(2, -1, 4)
+                      @ coef[:, :, None]).reshape(2, 32, 4)
+        drhs[:, :32] += 2.0 * (dvdag_w[1:, :, _COLS, 4 + _COLS].real - dgram_coef)
+        dcoef = drhs @ np.swapaxes(np.linalg.inv(np.abs(overlap) ** 2), 1, 2)
+        dleft = dmhat - dcoef @ projs[1:]
+        dleft[:, :32] -= moved[1:]
+        jac = [np.swapaxes(dleft, 1, 2).reshape(-1, 36)]
 
         # the barriers, only where active: d ln det G = 2 Re Tr(G^-1 V^dag dV)
         r = point.residuals
         gram_active = r[128:131] > 0
-        dlogdet = np.zeros((3, n_par))
+        dlogdet = np.zeros((3, 36))
         if gram_active.any():
-            vdv = _adjoint(vecs[gram_active])[:, None] @ dvecs[gram_active]
+            # V^dag dV is the adjoint of dV^dag V
             g_inv = np.linalg.inv(frame.overlap[gram_active])
-            dlogdet[gram_active] = 2.0 * np.einsum("kij,ktji->kt", g_inv, vdv).real
+            dlogdet[gram_active, :32] = 2.0 * np.einsum(
+                "kij,ktij->kt", g_inv, dvdag_w[gram_active, :, :, :4].conj()).real
         jac.append(-0.5 * dlogdet / np.log(10.0))
-        drank = np.zeros((1, n_par))
+        drank = np.zeros((1, 36))
         if r[-1] > 0:
             w, u = np.linalg.eigh(mhat)
-            dlam = (dmhat.reshape(n_par, -1) @ np.outer(u[:, 4].conj(), u[:, 4]).ravel()).real
+            dlam = dmhat @ mat_to_coords(np.outer(u[:, 4], u[:, 4].conj()))
             drank[0] = -0.5 * dlam / (w[4] * np.log(10.0))
         jac.append(drank)
-        basis = np.zeros((36, 68))      # row 4b + c: dX = P e_b e_c^T as (Re, Im)
-        frame_rows = basis[:16, :64].reshape(4, 4, 2, DIM, 4)
-        for c in range(4):
-            frame_rows[:, c, 0, :, c], frame_rows[:, c, 1, :, c] = perp.real.T, perp.imag.T
-        basis[16:32, :32], basis[16:32, 32:64] = -basis[:16, 32:64], basis[:16, :32]
-        basis[32:, 64:] = np.eye(4)
+        flat_perp = np.ascontiguousarray(perp).view(float).ravel()
+        basis = np.concatenate([[0.0, 1.0], flat_perp, -flat_perp])[_BASIS_INDEX]
         return np.concatenate(jac), basis
 
 

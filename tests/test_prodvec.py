@@ -4,7 +4,8 @@ import scipy.linalg
 
 from pptatlas import prodvec as pv
 from pptatlas import qstate as qs
-from pptatlas.errors import DegenerateAngles, DegenerateQuadruple, NotOrthonormal
+from pptatlas.errors import (DegenerateAngles, DegeneratePencil, DegenerateQuadruple,
+                             NotOrthonormal)
 
 from conftest import random_product_vector, random_unit
 
@@ -59,6 +60,18 @@ class TestPencilExtraction:
         for triple in pv.product_vectors_in_subspace(basis, "2|13"):
             rebuilt = qs.split_product(triple.factor2, triple.cofactor)
             assert np.linalg.norm(rebuilt - triple.full) < 1e-9
+
+    def test_continuum_of_shared_factor_raises(self):
+        """|0> (x) C^4 holds |0> (x) psi for every psi: for 1|23 the pencil has
+        one eigenvalue four times, and the four vectors it gives share their
+        qubit-1 factor, so no four of them are the subspace's."""
+        basis = pv.SubspaceBasis(np.eye(8, 4, dtype=complex))
+        with pytest.raises(DegeneratePencil, match=r"vectors 1 and 2 of bipartition 1\|23 "
+                                                   r"share their factor1 \(overlap gap"):
+            pv.product_vectors_in_subspace(basis, "1|23")
+        # |0>|0>|0> and every other |0> (x) product lie in it
+        with pytest.raises(DegeneratePencil):
+            pv.full_product_vectors_in_subspace(basis)
 
     def test_ordering_deterministic(self, rng):
         basis = pv.SubspaceBasis.from_columns(

@@ -98,6 +98,84 @@ class _ReferenceResidual:
         return np.concatenate([residuals[0], residuals[1], np.array(barriers)])
 
 
+def _reference_jacobian(point):
+    """The Jacobian along 36 stacked real directions, the 4 log-weights
+    among them as all-zero frame moves, each pushed through every stage:
+    the reference for the package's one."""
+    frame = point.frame
+    psi, vecs, eigvals, eigvecs = frame.psi, frame.vecs, frame.eigvals, frame.eigvecs
+    gaps = eigvals[:, None, :] - eigvals[:, :, None]
+    off = ~np.eye(4, dtype=bool)
+    rel_gap = (np.abs(gaps[:, off]).min(axis=1) / np.abs(eigvals).max(axis=1)).min()
+    if not rel_gap >= r4._PENCIL_GAP_FLOOR:
+        raise np.linalg.LinAlgError(f"relative pencil eigenvalue gap {rel_gap:.1e}")
+    perp = np.linalg.qr(psi, mode="complete")[0][:, 4:]
+    inv_gaps = np.zeros_like(gaps)
+    inv_gaps[:, off] = 1.0 / gaps[:, off]
+    phis = psi @ eigvecs
+    u_mat = np.linalg.inv(np.take_along_axis(phis, r4._BOTTOM_ROWS[:, :, None], axis=1))
+    y_mat = np.linalg.inv(frame.upper) @ eigvecs
+    u_top, u_bottom = u_mat @ perp[r4._TOP_ROWS], u_mat @ perp[r4._BOTTOM_ROWS]
+    inner = inv_gaps[..., None] * (u_top[:, :, None] - eigvals[:, None, :, None]
+                                   * u_bottom[:, :, None])
+    k_mat = perp.T[:, :, None] + np.einsum("kxi,kijb->kbxj", phis, inner)
+    dphi = (k_mat[:, :, None] * y_mat[:, None, :, None, :]).reshape(3, 16, 8, 4)
+    dphi = np.concatenate([dphi, 1j * dphi, np.zeros((3, 4, 8, 4))], axis=1)
+    n_par = dphi.shape[1]
+    radial = (vecs.conj()[:, None] * dphi).sum(axis=-2).real
+    dvecs = (dphi - vecs[:, None] * radial[..., None, :]) / frame.norms[:, None, None, :]
+
+    e, de, logw = vecs[0], dvecs[0], point.logw
+    weighted = np.exp(logw)
+    half = ((de * weighted).reshape(-1, 4) @ e.conj().T).reshape(n_par, 8, 8)
+    dm = half + r4._adjoint(half)
+    dm[32:] += ((weighted * (1.0 - (logw / r4._WEIGHT_CAP) ** 2))[:, None, None]
+                * (e.T[:, :, None] * e.T.conj()[:, None, :]))
+    mhat, scale = point.mhat, point.scale
+    dscale = (dm.reshape(n_par, -1) @ mhat.conj().ravel()).real
+    dmhat = (dm - mhat * dscale[:, None, None]) / scale
+
+    others, dothers = vecs[1:], dvecs[1:]
+    overlap, coef = frame.overlap[1:], point.coef
+    dfdag_f = (r4._adjoint(dothers).reshape(2, -1, 8) @ others).reshape(2, n_par, 4, 4)
+    dgram = 2.0 * (overlap.conj()[:, None] * (dfdag_f + r4._adjoint(dfdag_f))).real
+    drhs = 2.0 * (dothers.conj() * (mhat @ others)[:, None]).sum(axis=-2).real
+    dmhat_f = (dmhat.reshape(-1, 8) @ np.concatenate(others, axis=1)).reshape(
+        n_par, 8, 2, 4).transpose(2, 0, 1, 3)
+    drhs += (others.conj()[:, None] * dmhat_f).sum(axis=-2).real
+    dcoef = np.einsum("kij,ktj->kti", np.linalg.inv(np.abs(overlap) ** 2),
+                      drhs - np.einsum("ktij,kj->kti", dgram, coef))
+    half = ((dothers * coef[:, None, None, :]).reshape(2, -1, 4)
+            @ r4._adjoint(others)).reshape(2, n_par, 8, 8)
+    projs = np.swapaxes(others, 1, 2)
+    projs = (projs[..., :, None] * projs.conj()[..., None, :]).reshape(2, 4, -1)
+    dleft = (dmhat - half - r4._adjoint(half)
+             - (dcoef @ projs).reshape(2, n_par, 8, 8))
+    jac = [np.swapaxes(qs.mat_to_coords(dleft), 1, 2).reshape(-1, n_par)]
+
+    r = point.residuals
+    gram_active = r[128:131] > 0
+    dlogdet = np.zeros((3, n_par))
+    if gram_active.any():
+        vdv = r4._adjoint(vecs[gram_active])[:, None] @ dvecs[gram_active]
+        g_inv = np.linalg.inv(frame.overlap[gram_active])
+        dlogdet[gram_active] = 2.0 * np.einsum("kij,ktji->kt", g_inv, vdv).real
+    jac.append(-0.5 * dlogdet / np.log(10.0))
+    drank = np.zeros((1, n_par))
+    if r[-1] > 0:
+        w, u = np.linalg.eigh(mhat)
+        dlam = (dmhat.reshape(n_par, -1) @ np.outer(u[:, 4].conj(), u[:, 4]).ravel()).real
+        drank[0] = -0.5 * dlam / (w[4] * np.log(10.0))
+    jac.append(drank)
+    basis = np.zeros((36, 68))
+    frame_rows = basis[:16, :64].reshape(4, 4, 2, 8, 4)
+    for c in range(4):
+        frame_rows[:, c, 0, :, c], frame_rows[:, c, 1, :, c] = perp.real.T, perp.imag.T
+    basis[16:32, :32], basis[16:32, 32:64] = -basis[:16, 32:64], basis[:16, :32]
+    basis[32:, 64:] = np.eye(4)
+    return np.concatenate(jac), basis
+
+
 # step to the nearby probe points, whose columns are matched to the first one's
 _STEP = 1e-7
 
@@ -184,7 +262,8 @@ def _theta_of(point):
 def _assert_jacobian_matches(theta, point, jac, basis):
     """J matches central differences of the reference along the 36 search
     directions; with the 32 vertical directions they are orthonormal, and
-    along the vertical ones the residual does not move."""
+    along the vertical ones the residual does not move. J and its basis also
+    match the stage-by-stage reference Jacobian at the same point."""
     reference = _ReferenceResidual()
     reference.reference = dict(zip(pv.BIPARTITIONS, point.payload[2:]))
     assert np.abs(point.residuals - reference(theta)).max() < 1e-13
@@ -196,6 +275,9 @@ def _assert_jacobian_matches(theta, point, jac, basis):
     scale = np.abs(expected).max()
     assert np.abs(jac - expected).max() < 1e-6 * scale
     assert np.abs(_central_jacobian(reference, theta, vertical)).max() < 1e-8 * scale
+    expected_jac, expected_basis = _reference_jacobian(point)
+    assert np.array_equal(basis, expected_basis)
+    assert np.abs(jac - expected_jac).max() <= 1e-12 * np.abs(expected_jac).max()
 
 
 def _repeated_eigenvalue_frame(seed):
@@ -294,6 +376,64 @@ class TestCompatibilityJacobian:
         assert np.array_equal(got.residuals, expected.residuals)
         assert all(np.array_equal(a, b) for a, b in zip(got.payload, expected.payload))
         assert np.array_equal(reused.reference, fresh.reference)
+
+
+def _reference_matching_order(new, ref):
+    """The pairing loop: four passes, each taking the largest remaining
+    overlap of every block, the first in row-major order among equal ones."""
+    overlap = np.abs(r4._adjoint(ref) @ new)
+    rows = np.arange(len(overlap))
+    order = np.zeros((len(overlap), 4), dtype=int)
+    for _ in range(4):
+        i, j = np.divmod(overlap.reshape(-1, 16).argmax(axis=1), 4)
+        order[rows, i] = j
+        overlap[rows, i, :] = -1.0
+        overlap[rows, :, j] = -1.0
+    return order
+
+
+def _unit_columns(rng, shape=(3, 8, 4)):
+    cols = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return cols / np.linalg.norm(cols, axis=-2, keepdims=True)
+
+
+class TestColumnMatching:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+    def test_one_gather_follows_the_pairing_loop(self, seed, repeated, permuted):
+        """The matched order, and vecs, norms, eigvals and eigvecs reordered
+        by it, equal the pairing loop's and its four take_along_axis calls,
+        bit for bit: on random stacks, with a repeated column (tied overlaps
+        in every row) and with a reference that is a column permutation of
+        the input (one overlap of 1 per row)."""
+        rng = np.random.default_rng(seed)
+        vecs = _unit_columns(rng)
+        if repeated:
+            k, i, j = rng.integers(3), *rng.choice(4, size=2, replace=False)
+            vecs[k, :, j] = vecs[k, :, i]
+        ref = np.stack([v[:, rng.permutation(4)] for v in vecs]) if permuted else _unit_columns(rng)
+        norms = rng.random((3, 4))
+        eigvals = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        eigvecs = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        order = _reference_matching_order(vecs, ref)
+        assert np.array_equal(r4._matching_order(vecs, ref), order)
+        expected = (np.take_along_axis(vecs, order[:, None, :], axis=-1),
+                    np.take_along_axis(norms, order, axis=-1),
+                    np.take_along_axis(eigvals, order, axis=-1),
+                    np.take_along_axis(eigvecs, order[:, None, :], axis=-1))
+        got = r4._matched_columns(vecs, norms, eigvals, eigvecs, ref)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+    def test_ties_break_as_the_pairing_loop(self):
+        """Equal overlaps in one row pair with the first column, and the
+        fallback loop runs when two rows share their largest column."""
+        vecs = np.tile(np.eye(8, 4, dtype=complex), (3, 1, 1))
+        vecs[0, :, 1] = vecs[0, :, 0]                 # block 0: two equal columns
+        ref = vecs[:, :, [1, 0, 3, 2]]
+        order = _reference_matching_order(vecs, ref)
+        assert np.array_equal(r4._matching_order(vecs, ref), order)
+        assert order[0].tolist() == [0, 1, 3, 2] and order[1].tolist() == [1, 0, 3, 2]
 
 
 class TestSpanInvariance:
@@ -716,20 +856,25 @@ class TestConstructBiseparable:
 
     def test_criterion_04_leading_seeds_keep_their_path(self):
         """Criterion 04's seeds 0, 1 and 2 accept at these attempts with these
-        rejections, Jacobians and residual evaluations. A search change that
-        moves them changes the path or the work along it, and a time gained
-        that way is luck, not speed."""
+        rejections, Jacobians and residual evaluations, and their restarts end
+        so. A search change that moves them changes the path or the work along
+        it, and a time gained that way is luck, not speed."""
         # attempts, the sign_gate, search_not_converged and nonextremal
-        # rejections, then the Jacobians and evaluations
-        expected = [(19, 15, 2, 1, 79, 192), (55, 52, 1, 1, 76, 168), (21, 17, 2, 1, 59, 135)]
+        # rejections, the Jacobians and evaluations, then the converged and
+        # stalled restarts
+        expected = [(19, 15, 2, 1, 79, 192, 2, 6), (55, 52, 1, 1, 76, 168, 2, 4),
+                    (21, 17, 2, 1, 59, 135, 2, 4)]
         for child, (attempts, sign_gate, not_converged, nonextremal, jacobians,
-                    evaluations) in zip(np.random.SeedSequence(404).spawn(3), expected):
+                    evaluations, converged, stalled) in zip(np.random.SeedSequence(404).spawn(3),
+                                                            expected):
             result = r4.construct_biseparable(np.random.default_rng(child))
             assert (result.attempts, result.jacobians, result.evaluations) == (
                 attempts, jacobians, evaluations)
             assert result.rejections == dict(
                 dict.fromkeys(r4._REJECTIONS, 0), sign_gate=sign_gate,
                 search_not_converged=not_converged, nonextremal=nonextremal)
+            assert result.restart_ends == dict(
+                dict.fromkeys(r4._RESTART_ENDS, 0), converged=converged, stalled=stalled)
 
     def test_gives_up_after_the_attempt_cap(self, monkeypatch):
         """When no search converges, every attempt is rejected at the sign gate
