@@ -25,7 +25,7 @@ from .errors import InvalidParameter, PptAtlasError
 from .extremal import descend_to_extremal, is_extremal, rank_square_bound, separability_probe
 from .invariants import InvariantFingerprint, fingerprint
 from .prodvec import upb_standard, upb_state
-from .qstate import PPT_INTERIOR, HermitianOperator, PptProfile, ppt_profile, random_ppt_state
+from .qstate import PPT_INTERIOR, HermitianOperator, PptProfile, random_ppt_state
 from .rank4 import construct_type1, construct_type2
 from .ranksearch import RankTargetProblem, solve_targets
 
@@ -61,7 +61,10 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    mat = np.array([[complex(re, im) for re, im in row] for row in data])
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has a non-finite entry")
+    return mat
 
 
 def _field(data, name: str, parse=lambda value: value):
@@ -161,9 +164,9 @@ def annotate_state(state: HermitianOperator, provenance: dict,
     of entangled extremal states, so they are not a decision.
     """
     state = state.normalized()
-    profile = ppt_profile(state, tolerances)
-    fprint = fingerprint(state, tolerances)
     result = is_extremal(state, tolerances)
+    profile = result.profile
+    fprint = fingerprint(state, tolerances)
     rank4_type = None
     if profile.is_ppt and profile.ranks == (4, 4, 4, 4):
         # classify_type's rule: the fingerprint's vanishing-I2 decision
@@ -282,16 +285,14 @@ def cmd_search_extremal(seed: int, n_runs: int, out_dir: str | Path | None = Non
     return records, report
 
 
-def cmd_search_ranks(targets, method: str = "cg", seed: int = 0,
+def cmd_search_ranks(targets, seed: int = 0,
                      budget: int = 20, out_path: str | Path | None = None,
                      tolerances: Tolerances = DEFAULT) -> StateRecord | None:
     """Search for a PPT state with the requested rank profile.
 
-    The one method, "cg", is the restarted block refinement; the budget
-    counts restarts. Returns None on failure.
+    The one method, the CLI's "cg", is the restarted block refinement; the
+    budget counts restarts. Returns None on failure.
     """
-    if method != "cg":
-        raise ValueError(f"method must be 'cg', got {method!r}")
     targets = tuple(int(m) for m in targets)
     rng = np.random.default_rng(seed)
     problem = RankTargetProblem(targets)
@@ -300,7 +301,7 @@ def cmd_search_ranks(targets, method: str = "cg", seed: int = 0,
     if not result.success:
         return None
     record = annotate_state(result.state, {
-        "method": f"search-ranks-{method}",
+        "method": "search-ranks-cg",
         "parameters": {"targets": list(targets), "budget": budget},
         "seed": int(seed),
     }, tolerances)
@@ -440,16 +441,22 @@ def _parse_targets(text: str) -> tuple[int, int, int, int]:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_angles(text: str) -> tuple[float, float, float]:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three angles, got {text!r}")
-    return tuple(float(p) for p in parts)
+    angles = tuple(float(p) for p in parts)
+    if not np.isfinite(angles).all():
+        raise argparse.ArgumentTypeError(f"expected three finite angles, got {text!r}")
+    return angles
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,8 +517,8 @@ def main(argv=None) -> int:
                 return EXIT_SEARCH_FAILED
             return EXIT_OK
         if args.command == "search-ranks":
-            record = cmd_search_ranks(args.targets, args.method, args.seed,
-                                      args.budget, args.out, _tolerances(args))
+            record = cmd_search_ranks(args.targets, args.seed, args.budget, args.out,
+                                      _tolerances(args))
             if record is None:
                 sys.stdout.write(json.dumps({
                     "targets": list(args.targets),
@@ -537,6 +544,10 @@ def main(argv=None) -> int:
             report = cmd_census(args.in_paths, args.out)
             sys.stdout.write(report.to_csv())
             return EXIT_OK
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but raised by a run on valid input
+        sys.stderr.write(f"pptatlas: LinAlgError: {exc}\n")
+        return EXIT_SEARCH_FAILED
     except (ValueError, FileNotFoundError, json.JSONDecodeError, InvalidParameter) as exc:
         sys.stderr.write(f"pptatlas: invalid input: {exc}\n")
         return EXIT_INVALID_INPUT

@@ -37,10 +37,6 @@ class DegenerateQuadruple(PptAtlasError):
     """A quadruple of 2-vectors has (near-)parallel members."""
 
 
-class DegenerateAngles(PptAtlasError):
-    """Angle parameters make some basis vectors parallel."""
-
-
 class NotOrthonormal(PptAtlasError):
     """Vectors expected to be orthonormal are not, within tolerance."""
 
@@ -51,6 +47,10 @@ class NotRank4(PptAtlasError):
 
 class InvalidParameter(PptAtlasError):
     """A construction parameter lies on an excluded locus."""
+
+
+class DegenerateAngles(InvalidParameter):
+    """Angle parameters make some basis vectors parallel."""
 
 
 class DegenerateDraw(PptAtlasError):

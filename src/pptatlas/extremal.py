@@ -11,7 +11,7 @@ The state is extremal when rho itself is the only solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,6 @@ from .qstate import (
     mat_to_coords,
     ppt_profile,
     ptranspose_mat,
-    ptranspose_stack,
     transpose_spectra,
 )
 
@@ -37,10 +36,9 @@ from .qstate import (
 @dataclass
 class FaceOperators:
     """The four projection maps, each materialized as a real symmetric 64x64
-    matrix in the orthonormal Hermitian basis, plus the range projectors."""
+    matrix in the orthonormal Hermitian basis, and the state's profile."""
 
     operators: np.ndarray   # (4, 64, 64)
-    projectors: np.ndarray  # (4, 8, 8)
     profile: PptProfile
 
     @property
@@ -50,26 +48,25 @@ class FaceOperators:
 
 
 def face_operators(rho, tolerances: Tolerances = DEFAULT) -> FaceOperators:
-    """Materialize the four face-constraint projections for a PPT state."""
+    """Materialize the four face-constraint projections for a PPT state.
+
+    The profile is taken of rho as given, which ppt_profile normalizes: the
+    same profile a caller gets from ppt_profile(rho)."""
     mat = _as_matrix(rho)
-    mat = mat / np.trace(mat).real
     profile = ppt_profile(mat, tolerances)
     if not profile.is_ppt:
         raise NotPpt(f"minimum transpose eigenvalue {min(profile.min_eigenvalues):.3e}")
+    mat = mat / np.trace(mat).real
     basis = hermitian_basis()
     operators = np.empty((4, 64, 64))
-    projectors = np.empty((4, DIM, DIM), dtype=complex)
     for i, pt in enumerate(all_ptransposes(mat)):
         w, v = np.linalg.eigh(pt)
         keep = np.abs(w) > tolerances.rank_tol * np.abs(w).max()
         vk = v[:, keep]
         proj = vk @ vk.conj().T
-        projectors[i] = proj
-        bt = ptranspose_stack(basis, i)
-        mapped = np.einsum("ab,kbc,cd->kad", proj, bt, proj)
-        mapped = ptranspose_stack(mapped, i)
-        operators[i] = np.einsum("lab,kba->lk", basis, mapped).real
-    return FaceOperators(operators, projectors, profile)
+        mapped = np.einsum("ab,kbc,cd->kad", proj, ptranspose_mat(basis, i), proj)
+        operators[i] = np.einsum("lab,kba->lk", basis, ptranspose_mat(mapped, i)).real
+    return FaceOperators(operators, profile)
 
 
 @dataclass
@@ -85,7 +82,6 @@ class FaceSolutionSpace:
     basis: np.ndarray  # (dimension, 8, 8) traceless Hermitian, orthonormal
     dimension: int
     profile: PptProfile
-    eigenvalues: np.ndarray = field(repr=False, default=None)
 
 
 def face_solution_space(rho, tolerances: Tolerances = DEFAULT) -> FaceSolutionSpace:
@@ -105,7 +101,7 @@ def face_solution_space(rho, tolerances: Tolerances = DEFAULT) -> FaceSolutionSp
     trace_vec = np.einsum("kaa->k", basis_full).real
     if count <= 1:
         return FaceSolutionSpace(state, np.zeros((0, DIM, DIM), dtype=complex), 0,
-                                 ops.profile, w[sel])
+                                 ops.profile)
     sols = v[:, sel].T  # (count, 64)
     sols = sols - np.outer(sols @ trace_vec, rho_coords)
     u_, s_, vt = np.linalg.svd(sols, full_matrices=False)
@@ -115,7 +111,7 @@ def face_solution_space(rho, tolerances: Tolerances = DEFAULT) -> FaceSolutionSp
     dim = min(dim, int(np.count_nonzero(s_ > 0.5)))
     dirs = vt[:dim]
     mats = np.einsum("dk,kab->dab", dirs, basis_full)
-    return FaceSolutionSpace(state, mats, dim, ops.profile, w[sel])
+    return FaceSolutionSpace(state, mats, dim, ops.profile)
 
 
 class ExtremalityResult(NamedTuple):
@@ -134,8 +130,15 @@ def is_extremal(rho, tolerances: Tolerances = DEFAULT) -> ExtremalityResult:
 # boundary line search and descent
 # ---------------------------------------------------------------------------
 
-def clean_ppt_boundary(mat: np.ndarray, floor: float = 1e-12,
-                       passes: int = 4) -> np.ndarray:
+# clean_ppt_boundary clips a transpose whose lowest eigenvalue is below
+# -_CLIP_FLOOR, at most _CLIP_PASSES times
+_CLIP_FLOOR = 1e-12
+_CLIP_PASSES = 4
+# bisection width at which line_search_to_boundary stops
+_BOUNDARY_EPS = 1e-10
+
+
+def clean_ppt_boundary(mat: np.ndarray) -> np.ndarray:
     """Clip roundoff-negative kernel modes of whichever transpose is worst.
 
     Boundary points produced by line searches carry intended-zero eigenvalues
@@ -143,10 +146,10 @@ def clean_ppt_boundary(mat: np.ndarray, floor: float = 1e-12,
     the state far below the rank cut while restoring strict positivity.
     """
     mat = np.asarray(mat, dtype=complex)
-    for _ in range(passes):
+    for _ in range(_CLIP_PASSES):
         minima = transpose_spectra(mat).min(axis=1)
         worst = int(np.argmin(minima))
-        if minima[worst] >= -floor:
+        if minima[worst] >= -_CLIP_FLOOR:
             break
         pt = ptranspose_mat(mat, worst)
         w, v = np.linalg.eigh(pt)
@@ -157,10 +160,11 @@ def clean_ppt_boundary(mat: np.ndarray, floor: float = 1e-12,
 
 
 def line_search_to_boundary(rho, sigma: np.ndarray,
-                            tolerances: Tolerances = DEFAULT,
-                            eps_tol: float = 1e-10) -> tuple[float, HermitianOperator]:
+                            tolerances: Tolerances = DEFAULT
+                            ) -> tuple[float, HermitianOperator]:
     """Largest epsilon with rho + epsilon*sigma still PPT, found by bisection
-    on the minimum eigenvalue over all four partial transposes.
+    on the minimum eigenvalue over all four partial transposes, to a bracket
+    narrower than _BOUNDARY_EPS.
 
     The acceptance threshold is half of psd_tol so that accepted boundary
     points still pass downstream PPT checks at the full tolerance."""
@@ -179,7 +183,7 @@ def line_search_to_boundary(rho, sigma: np.ndarray,
         hi *= 2.0
         if hi > 2.0 ** 30:
             raise MaxIterations("search direction never leaves the PPT set")
-    while hi - lo > eps_tol:
+    while hi - lo > _BOUNDARY_EPS:
         mid = 0.5 * (lo + hi)
         if ppt_at(mid):
             lo = mid

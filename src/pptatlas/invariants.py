@@ -39,7 +39,7 @@ def quadratic_invariant_forms(rho) -> tuple[float, float]:
     """The quadratic invariant computed two independent ways:
     -(1/8) Tr(rho^T E rho E) and the metric contraction of the Pauli tensor."""
     mat = _as_matrix(rho)
-    return _quadratic_forms(mat, pauli_decompose(mat).coeffs)
+    return _quadratic_forms(mat, pauli_decompose(mat))
 
 
 def _checked_quadratic(mat: np.ndarray, a: np.ndarray) -> float:
@@ -59,7 +59,7 @@ def quadratic_invariant(rho) -> float:
     other at 1e-10 relative to the tensor's magnitude scale.
     """
     mat = _as_matrix(rho)
-    return _checked_quadratic(mat, pauli_decompose(mat).coeffs)
+    return _checked_quadratic(mat, pauli_decompose(mat))
 
 
 def i2_vanishes(i2: float, trace: float, tolerances: Tolerances) -> bool:
@@ -95,7 +95,7 @@ def quartic_invariants(rho) -> tuple[float, float, float, float]:
     metric contributes exactly one sign factor per index; the contraction is
     evaluated Euclidean-style with those factors attached.
     """
-    return _quartics(pauli_decompose(rho).coeffs)
+    return _quartics(pauli_decompose(rho))
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def fingerprint(rho, tolerances: Tolerances = DEFAULT) -> InvariantFingerprint:
     is decomposed once and shared by the quadratic and quartic invariants."""
     mat = _as_matrix(rho)
     tr = float(np.trace(mat).real)
-    a = pauli_decompose(mat).coeffs
+    a = pauli_decompose(mat)
     i2 = _checked_quadratic(mat, a)
     quartics = _quartics(a)
     degenerate = i2_vanishes(i2, tr, tolerances)

@@ -72,20 +72,6 @@ class HermitianOperator:
     def transpose(self) -> "HermitianOperator":
         return HermitianOperator(self.mat.T)
 
-    def __add__(self, other):
-        return HermitianOperator(self.mat + _as_matrix(other))
-
-    def __sub__(self, other):
-        return HermitianOperator(self.mat - _as_matrix(other))
-
-    def __mul__(self, scalar):
-        return HermitianOperator(self.mat * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return HermitianOperator(self.mat / float(scalar))
-
     def __repr__(self) -> str:
         return f"HermitianOperator(trace={self.trace():.6g})"
 
@@ -102,21 +88,23 @@ def _as_matrix(rho) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def ptranspose_mat(mat: np.ndarray, subsystem: int) -> np.ndarray:
-    """Partial transpose of an 8x8 matrix on one subsystem (1, 2 or 3).
+    """Partial transpose on one subsystem (1, 2 or 3) of an 8x8 matrix, or of
+    every matrix in a (..., 8, 8) stack.
 
-    Implemented as an exact entry permutation: the 8x8 matrix is viewed as a
+    Implemented as an exact entry permutation: each 8x8 matrix is viewed as a
     (2,2,2,2,2,2) tensor and the row/column axes of the chosen subsystem are
-    swapped. subsystem=0 returns the input unchanged.
+    swapped. subsystem=0 returns a copy of the input.
     """
     if subsystem == 0:
         return np.array(mat)
     if subsystem not in (1, 2, 3):
         raise ValueError(f"subsystem must be 0, 1, 2 or 3, got {subsystem}")
-    t = np.asarray(mat).reshape(2, 2, 2, 2, 2, 2)
-    axes = [0, 1, 2, 3, 4, 5]
-    k = subsystem - 1
+    m = np.asarray(mat)
+    lead = m.shape[:-2]
+    axes = list(range(len(lead) + 6))
+    k = len(lead) + subsystem - 1
     axes[k], axes[k + 3] = axes[k + 3], axes[k]
-    return t.transpose(axes).reshape(DIM, DIM)
+    return m.reshape(*lead, 2, 2, 2, 2, 2, 2).transpose(axes).reshape(*lead, DIM, DIM)
 
 
 def partial_transpose(rho, subsystem: int) -> HermitianOperator:
@@ -136,16 +124,6 @@ def transpose_spectra(mat: np.ndarray) -> np.ndarray:
     One stacked eigvalsh call; bit-identical to calling eigvalsh per transpose.
     """
     return np.linalg.eigvalsh(np.stack(all_ptransposes(mat)))
-
-
-def ptranspose_stack(stack: np.ndarray, subsystem: int) -> np.ndarray:
-    """Partial transpose applied to every matrix in a (K, 8, 8) stack."""
-    if subsystem == 0:
-        return stack
-    t = np.asarray(stack).reshape(-1, 2, 2, 2, 2, 2, 2)
-    axes = [0, 1, 2, 3, 4, 5, 6]
-    axes[subsystem], axes[subsystem + 3] = axes[subsystem + 3], axes[subsystem]
-    return t.transpose(axes).reshape(-1, DIM, DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +167,13 @@ def _pauli_triple_basis() -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
-class LorentzTensor:
-    """The 64 real coefficients of the three-fold Pauli expansion of a Hermitian matrix."""
-
-    coeffs: np.ndarray  # shape (4, 4, 4), real
-
-
-def pauli_decompose(a) -> LorentzTensor:
-    """Coefficients a[l,m,n] = Tr(A sigma_l (x) sigma_m (x) sigma_n) / 8; real for Hermitian A."""
+def pauli_decompose(a) -> np.ndarray:
+    """The real (4, 4, 4) coefficients a[l,m,n] = Tr(A sigma_l (x) sigma_m (x) sigma_n) / 8
+    of the three-fold Pauli expansion of a Hermitian A, read-only."""
     mat = _as_matrix(a)
     coeffs = np.einsum("abcij,ji->abc", _pauli_triple_basis(), mat).real / DIM
     coeffs.flags.writeable = False
-    return LorentzTensor(coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +446,6 @@ __all__ = [
     "PAULI",
     "PPT_INTERIOR",
     "HermitianOperator",
-    "LorentzTensor",
     "PptProfile",
     "ProductVectorTriple",
     "all_ptransposes",

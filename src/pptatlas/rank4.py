@@ -32,10 +32,12 @@ from .prodvec import (
     SubspaceBasis,
     _pencil_eigs,
     product_vectors_in_subspace,
+    standard_form_quadruple,
 )
 from .qstate import (
     DIM,
     EPSILON,
+    PAULI,
     HermitianOperator,
     _as_matrix,
     _coordinate_gather,
@@ -75,6 +77,11 @@ def _upper_to_coords(entries: np.ndarray) -> np.ndarray:
     """hermitian_basis() coordinates (..., 64) of Hermitian matrices given by
     their entries (..., 36) at _UPPER_ROW, _UPPER_COL."""
     return np.ascontiguousarray(entries).view(float)[..., _UPPER_COORD] * _UPPER_SCALE
+
+
+def _weighted_projector_sum(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] c_i c_i^dag over the four columns c_i of an 8x4 matrix."""
+    return sum(weights[i] * np.outer(cols[:, i], cols[:, i].conj()) for i in range(4))
 
 
 def _projector_coords(cols: np.ndarray) -> np.ndarray:
@@ -183,10 +190,7 @@ def construct_type2(t: complex) -> tuple[HermitianOperator, TypeIIParams]:
     e, f, g = type2_product_bases(t)
     t = complex(t)
     lambdas, norm = type2_weights(t)
-    builds = [
-        sum(norm * lambdas[i] * np.outer(m[:, i], m[:, i].conj()) for i in range(4))
-        for m in (e, f, g)
-    ]
+    builds = [_weighted_projector_sum(m, norm * lambdas) for m in (e, f, g)]
     for other in builds[1:]:
         if np.abs(builds[0] - other).max() > 1e-8:
             raise ConstructionError(
@@ -318,8 +322,6 @@ def quadruple_parameters(rho, rng: np.random.Generator | None = None
                          ) -> tuple[complex, complex, complex]:
     """Standard-form parameters of the three 2-vector quadruples extracted
     from the range of a rank-4444 state (pencil ordering convention)."""
-    from .prodvec import standard_form_quadruple
-
     basis = SubspaceBasis.range_of(
         rho if isinstance(rho, HermitianOperator) else HermitianOperator(rho)
     )
@@ -365,8 +367,6 @@ def construct_type1(rng: np.random.Generator) -> tuple[HermitianOperator, TypeIP
 def _sl_orbit_tangents(rho: np.ndarray) -> np.ndarray:
     """Trace-projected tangents of the local-transformation orbit at rho,
     one row per generator of the three traceless factor algebras."""
-    from .qstate import PAULI
-
     rows = []
     for slot in range(3):
         for p in (1, 2, 3):
@@ -380,8 +380,13 @@ def _sl_orbit_tangents(rho: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def type1_parameter_count(rng: np.random.Generator, step: float = 1e-6,
-                          rank_rtol: float = 1e-7) -> int:
+# finite-difference step of type1_parameter_count, and its relative
+# singular-value cut
+_PARAMETER_COUNT_STEP = 1e-6
+_PARAMETER_COUNT_RANK_RTOL = 1e-7
+
+
+def type1_parameter_count(rng: np.random.Generator) -> int:
     """Number of continuous parameters of the type I family modulo local
     unit-determinant transformations, measured at one random sample point.
 
@@ -394,7 +399,7 @@ def type1_parameter_count(rng: np.random.Generator, step: float = 1e-6,
 
     def _rank(mat: np.ndarray) -> int:
         svs = np.linalg.svd(mat, compute_uv=False)
-        return int(np.count_nonzero(svs > rank_rtol * svs[0]))
+        return int(np.count_nonzero(svs > _PARAMETER_COUNT_RANK_RTOL * svs[0]))
 
     for _ in range(_TYPE1_MAX_DRAWS):
         draw = rng.standard_normal(16)
@@ -403,12 +408,12 @@ def type1_parameter_count(rng: np.random.Generator, step: float = 1e-6,
         cols = []
         for j in range(16):
             shift = np.zeros(16)
-            shift[j] = step
+            shift[j] = _PARAMETER_COUNT_STEP
             plus = _type1_from_matrix((draw + shift).reshape(4, 4), guard=1e-7)
             minus = _type1_from_matrix((draw - shift).reshape(4, 4), guard=1e-7)
             if plus is None or minus is None:
                 break
-            cols.append(mat_to_coords((plus - minus) / (2 * step)))
+            cols.append(mat_to_coords((plus - minus) / (2 * _PARAMETER_COUNT_STEP)))
         else:
             jac = np.array(cols)
             orbit = _sl_orbit_tangents(_type1_from_matrix(draw.reshape(4, 4)))
@@ -436,11 +441,9 @@ class BiseparableTriple:
     weights_g: np.ndarray
 
     def reconstructions(self) -> list[np.ndarray]:
-        out = []
-        for mat, w in ((self.e, self.weights_e), (self.f, self.weights_f),
-                       (self.g, self.weights_g)):
-            out.append(sum(w[i] * np.outer(mat[:, i], mat[:, i].conj()) for i in range(4)))
-        return out
+        return [_weighted_projector_sum(self.e, self.weights_e),
+                _weighted_projector_sum(self.f, self.weights_f),
+                _weighted_projector_sum(self.g, self.weights_g)]
 
     def max_disagreement(self) -> float:
         builds = self.reconstructions()
@@ -986,9 +989,7 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
             rejections["search_not_converged"] += 1
             continue
         psi, logw, pe, pf, pg = search.payload
-        weights = np.exp(logw)
-        candidate = sum(weights[i] * np.outer(pe[:, i], pe[:, i].conj()) for i in range(4))
-        candidate = HermitianOperator(candidate).normalized()
+        candidate = HermitianOperator(_weighted_projector_sum(pe, np.exp(logw))).normalized()
         x, f_pin, _ = refine_block(problem, mat_to_coords(candidate.mat),
                                    f_target=1e-24, max_iters=40)
         if f_pin > 1e-20:

@@ -11,7 +11,7 @@ CLI's `--method cg`), restarted from random PPT states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,38 +23,39 @@ from .qstate import (
     hermitian_basis,
     ppt_profile,
     ptranspose_mat,
-    ptranspose_stack,
+    random_ppt_state,
     transpose_spectra,
 )
+
+# the search space, hermitian_basis(), and its partial transposes (4, 64, 8, 8),
+# shared by every problem and read-only
+_BASIS = hermitian_basis()
+_BASIS_PT = np.stack([ptranspose_mat(_BASIS, i) for i in range(4)])
+_BASIS_PT.flags.writeable = False
 
 
 @dataclass
 class RankTargetProblem:
-    """Rank targets plus the Hermitian basis spanning the search space,
-    hermitian_basis(), and its partial transposes."""
+    """Rank targets of a search over the Hermitian basis, hermitian_basis()."""
 
     targets: tuple[int, int, int, int]
-    basis: np.ndarray = field(init=False, repr=False)
-    basis_pt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         targets = tuple(int(m) for m in self.targets)
         if len(targets) != 4 or any(m < 1 or m > DIM for m in targets):
             raise ValueError(f"targets must be four ranks in 1..8, got {targets}")
         self.targets = targets
-        self.basis = hermitian_basis()
-        self.basis_pt = np.stack([ptranspose_stack(self.basis, i) for i in range(4)])
 
     @property
     def n_parameters(self) -> int:
-        return self.basis.shape[0]
+        return _BASIS.shape[0]
 
     @property
     def n_equations(self) -> int:
         return 4 * DIM - sum(self.targets)
 
     def rho_mat(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("j,jab->ab", np.asarray(x, dtype=float), self.basis)
+        return np.einsum("j,jab->ab", np.asarray(x, dtype=float), _BASIS)
 
     def rho(self, x: np.ndarray) -> HermitianOperator:
         return HermitianOperator(self.rho_mat(x))
@@ -74,7 +75,6 @@ def objective(problem: RankTargetProblem, x: np.ndarray) -> float:
 @dataclass
 class RankSearchResult:
     state: HermitianOperator | None
-    coords: np.ndarray | None
     objective: float
     attempts: int
     evaluations: int
@@ -87,10 +87,8 @@ def _random_start(problem: RankTargetProblem, rng: np.random.Generator) -> np.nd
 
     Starting PPT keeps the trivial full-rank targets feasible.
     """
-    from .qstate import random_ppt_state
-
     m = random_ppt_state(rng).mat
-    x = np.einsum("kab,ba->k", problem.basis, m).real
+    x = np.einsum("kab,ba->k", _BASIS, m).real
     return x / np.linalg.norm(problem.rho_mat(x))
 
 
@@ -116,6 +114,23 @@ def _validate(problem: RankTargetProblem, x: np.ndarray, tolerances: Tolerances)
     return state, profile
 
 
+def _block_gather(z: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into the flat real view of a z x z complex block, and scales,
+    that list its Hermitian coordinates row by row: the diagonal entry, then
+    sqrt2 Re and sqrt2 Im of each entry right of it."""
+    index, scale = [], []
+    for k in range(z):
+        index.append(2 * (z * k + k))
+        scale.append(1.0)
+        for l in range(k + 1, z):
+            index += [2 * (z * k + l), 2 * (z * k + l) + 1]
+            scale += [np.sqrt(2.0)] * 2
+    return np.array(index, dtype=np.intp), np.array(scale)
+
+
+_BLOCK_GATHER = {z: _block_gather(z) for z in range(1, DIM)}
+
+
 def _block_residual_jacobian(problem: RankTargetProblem, x: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Residual and Jacobian of the zero-target subspace blocks.
@@ -128,29 +143,23 @@ def _block_residual_jacobian(problem: RankTargetProblem, x: np.ndarray
     lowest eigenvalues do.
     """
     mat = problem.rho_mat(x)
-    res: list[float] = []
-    rows: list[np.ndarray] = []
-    sq2 = np.sqrt(2.0)
+    res, rows = [], []
     for i in range(4):
         z = DIM - problem.targets[i]
         if z == 0:
             continue
+        index, scale = _BLOCK_GATHER[z]
         pt = ptranspose_mat(mat, i)
         _, v = np.linalg.eigh(pt)
         v0 = v[:, :z]
         block = v0.conj().T @ pt @ v0
-        dblock = np.einsum("ak,jab,bl->jkl", v0.conj(), problem.basis_pt[i], v0)
-        for k in range(z):
-            res.append(block[k, k].real)
-            rows.append(dblock[:, k, k].real)
-            for l in range(k + 1, z):
-                res.append(sq2 * block[k, l].real)
-                rows.append(sq2 * dblock[:, k, l].real)
-                res.append(sq2 * block[k, l].imag)
-                rows.append(sq2 * dblock[:, k, l].imag)
+        dblock = np.einsum("ak,jab,bl->jkl", v0.conj(), _BASIS_PT[i], v0)
+        res.append(np.ascontiguousarray(block).view(float).ravel()[index] * scale)
+        flat = np.ascontiguousarray(dblock).view(float).reshape(len(dblock), -1)
+        rows.append((flat[:, index] * scale).T)
     if not res:
         return np.zeros(0), np.zeros((0, problem.n_parameters))
-    return np.array(res), np.array(rows)
+    return np.concatenate(res), np.concatenate(rows)
 
 
 # eigenvalue square sum at which a search counts as converged, and the one
@@ -227,8 +236,8 @@ def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
                 continue
             if require_exact and profile.ranks != problem.targets:
                 continue
-            return RankSearchResult(state, x, f, attempts, evals, True, profile)
-    return RankSearchResult(None, None, best_f, attempts, evals, False)
+            return RankSearchResult(state, f, attempts, evals, True, profile)
+    return RankSearchResult(None, best_f, attempts, evals, False)
 
 
 __all__ = [

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -87,9 +88,9 @@ class TestStateRecord:
         assert record.classification["type"] == "II"
 
     def test_rank4444_type_comes_from_the_fingerprint(self, monkeypatch, rng):
-        """One annotation of a type II state computes the profile twice (its
-        own and is_extremal's), and its type is classify_type's on type I,
-        type II and UPB states."""
+        """One annotation of a type II state computes the profile once, in
+        is_extremal, and records the profile ppt_profile gives; its type is
+        classify_type's on type I, type II and UPB states."""
         calls = []
         profile = qs.ppt_profile
 
@@ -103,10 +104,11 @@ class TestStateRecord:
                 monkeypatch.setattr(module, "ppt_profile", counted)
         type2 = construct_type2(0.6 + 0.8j)[0]
         cli.annotate_state(type2, {})
-        assert len(calls) == 2
+        assert len(calls) == 1
         for state in (r4.construct_type1(rng)[0], type2,
                       upb_state(upb_standard(0.6, 0.9, 1.1))):
             record = cli.annotate_state(state, {})
+            assert record.profile == profile(state.normalized())
             assert record.classification["type"] == r4.classify_type(state.normalized())
 
     def test_reload_reproduces_annotations(self, rng):
@@ -167,14 +169,14 @@ class TestCommands:
         assert report1.to_csv() == report2.to_csv()
 
     def test_search_ranks_success(self, tmp_path):
-        record = cli.cmd_search_ranks((6, 6, 6, 6), method="cg", seed=5, budget=20,
+        record = cli.cmd_search_ranks((6, 6, 6, 6), seed=5, budget=20,
                                       out_path=tmp_path / "state.json")
         assert record is not None
         assert record.profile.ranks == (6, 6, 6, 6)
         assert (tmp_path / "state.json").exists()
 
     def test_search_ranks_failure(self):
-        record = cli.cmd_search_ranks((5, 5, 6, 8), method="cg", seed=5, budget=6)
+        record = cli.cmd_search_ranks((5, 5, 6, 8), seed=5, budget=6)
         assert record is None
 
     def test_construct_type2_provenance(self):
@@ -233,18 +235,23 @@ class TestMainEntry:
         data = json.loads(capsys.readouterr().out)
         assert data["found"] is False
 
-    def test_invalid_input_exit_three(self):
+    def test_invalid_input_exit_three(self, capsys):
         assert cli.main(["construct", "type2", "--t", "0"]) == 3
+        # angles that make two UPB factors parallel (DegenerateAngles)
+        assert cli.main(["construct", "upb", "--angles", "0,0.78,0.78"]) == 3
+        assert "angles" in capsys.readouterr().err
         with pytest.raises(SystemExit) as info:
             cli.main(["no-such-command"])
         assert info.value.code == 3
 
-    def test_cg_is_the_only_rank_search_method(self):
+    def test_cg_is_the_only_rank_search_method(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["search-ranks", "5555", "--method", "sq"])
         assert info.value.code == 3
-        with pytest.raises(ValueError):
-            cli.cmd_search_ranks((5, 5, 5, 5), method="sq")
+        # cg is parsed and echoed, and the library function has no method
+        assert cli.main(["search-ranks", "5568", "--method", "cg", "--budget", "1"]) == 2
+        assert json.loads(capsys.readouterr().out)["method"] == "cg"
+        assert "method" not in inspect.signature(cli.cmd_search_ranks).parameters
 
     def test_byte_identical_output_for_same_seed(self, capsys):
         cli.main(["search-extremal", "--runs", "3", "--seed", "21"])
@@ -287,16 +294,20 @@ class TestMainEntry:
 
     def test_malformed_record_files_exit_three(self, tmp_path, capsys):
         """An empty file, a record without a field and a record whose matrix
-        is not a list of [re, im] rows are invalid input, for classify and
-        census alike; the error names the field."""
+        is not a list of [re, im] rows, or has a non-finite entry, are
+        invalid input, for classify and census alike; the error names the
+        field."""
         good = cli.cmd_construct("type2", t=1.0).to_dict()
         no_fingerprint = {key: value for key, value in good.items() if key != "fingerprint"}
         no_ranks = json.loads(json.dumps(good))
         del no_ranks["profile"]["ranks"]
+        nan_entry = json.loads(json.dumps(good))
+        nan_entry["matrix"][2][5][1] = float("nan")
         cases = {"empty": ("", "no record"),
                  "no_fingerprint": (json.dumps(no_fingerprint), "'fingerprint'"),
                  "no_ranks": (json.dumps(no_ranks), "'profile'"),
-                 "scalar_matrix": (json.dumps(dict(good, matrix=5)), "'matrix'")}
+                 "scalar_matrix": (json.dumps(dict(good, matrix=5)), "'matrix'"),
+                 "nan_entry": (json.dumps(nan_entry), "'matrix'")}
         for name, (text, named) in cases.items():
             path = tmp_path / f"{name}.jsonl"
             path.write_text(text)
@@ -307,6 +318,25 @@ class TestMainEntry:
                 assert cli.main(command) == 3, (name, command)
                 err = capsys.readouterr().err
                 assert err.startswith("pptatlas: invalid input") and named in err, err
+
+    @pytest.mark.parametrize("flag,value", [("--t", "nan"), ("--t", "1+infj"),
+                                            ("--angles", "nan,0.78,0.78")])
+    def test_non_finite_parameter_exit_three(self, capsys, flag, value):
+        family = "type2" if flag == "--t" else "upb"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["construct", family, flag, value])
+        assert info.value.code == 3
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_linalg_error_in_a_run_exits_two(self, capsys, monkeypatch):
+        """LinAlgError is a ValueError, but one raised by a run on valid
+        input is a failed run, not invalid input."""
+        def diverge(t):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "construct_type2", diverge)
+        assert cli.main(["construct", "type2", "--t", "1.0"]) == 2
+        assert "LinAlgError: Eigenvalues did not converge" in capsys.readouterr().err
 
     def test_runtime_never_imports_scipy(self, tmp_path):
         """A descent campaign, a type II construction and the biseparable

@@ -44,8 +44,8 @@ class TestQuadraticInvariant:
         """The trace form reads the matrix and the contraction form its Pauli
         tensor; given the tensor of another matrix they disagree."""
         mat = qs.random_ppt_state(rng).mat
-        other = qs.pauli_decompose(qs.random_ppt_state(rng)).coeffs
-        assert abs(inv._checked_quadratic(mat, qs.pauli_decompose(mat).coeffs)
+        other = qs.pauli_decompose(qs.random_ppt_state(rng))
+        assert abs(inv._checked_quadratic(mat, qs.pauli_decompose(mat))
                    - inv.quadratic_invariant(mat)) == 0.0
         with pytest.raises(InvariantMismatch, match="trace form"):
             inv._checked_quadratic(mat, other)

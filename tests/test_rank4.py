@@ -263,7 +263,12 @@ def _assert_jacobian_matches(theta, point, jac, basis):
     """J matches central differences of the reference along the 36 search
     directions; with the 32 vertical directions they are orthonormal, and
     along the vertical ones the residual does not move. J and its basis also
-    match the stage-by-stage reference Jacobian at the same point."""
+    match the stage-by-stage reference Jacobian at the same point.
+
+    The residual is exactly invariant along a vertical direction, so a
+    difference there measures rounding noise over 2h. With h = 1e-3 that
+    sits about three decades below the bound; with h = 1e-6 the rank-barrier
+    row, whose 1/lambda_4 factor amplifies eigvalsh noise, reaches 0.8 of it."""
     reference = _ReferenceResidual()
     reference.reference = dict(zip(pv.BIPARTITIONS, point.payload[2:]))
     assert np.abs(point.residuals - reference(theta)).max() < 1e-13
@@ -274,7 +279,7 @@ def _assert_jacobian_matches(theta, point, jac, basis):
     expected = _central_jacobian(reference, theta, basis)
     scale = np.abs(expected).max()
     assert np.abs(jac - expected).max() < 1e-6 * scale
-    assert np.abs(_central_jacobian(reference, theta, vertical)).max() < 1e-8 * scale
+    assert np.abs(_central_jacobian(reference, theta, vertical, h=1e-3)).max() < 1e-8 * scale
     expected_jac, expected_basis = _reference_jacobian(point)
     assert np.array_equal(basis, expected_basis)
     assert np.abs(jac - expected_jac).max() <= 1e-12 * np.abs(expected_jac).max()

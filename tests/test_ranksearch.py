@@ -67,6 +67,44 @@ class TestJacobian:
         assert np.allclose(np.abs(jac).sum(axis=1), 1.0, atol=1e-10)
 
 
+def _loop_block_residual_jacobian(problem, x):
+    """Reference for the block residual and Jacobian: each block's entries
+    and their derivatives listed by a loop, (k, k), then sqrt2 Re and sqrt2
+    Im of (k, l) for l > k."""
+    basis = qs.hermitian_basis()
+    mat = problem.rho_mat(x)
+    res, rows = [], []
+    sq2 = np.sqrt(2.0)
+    for i, m in enumerate(problem.targets):
+        z = 8 - m
+        if z == 0:
+            continue
+        pt = qs.ptranspose_mat(mat, i)
+        v0 = np.linalg.eigh(pt)[1][:, :z]
+        block = v0.conj().T @ pt @ v0
+        dblock = np.einsum("ak,jab,bl->jkl", v0.conj(), qs.ptranspose_mat(basis, i), v0)
+        for k in range(z):
+            res.append(block[k, k].real)
+            rows.append(dblock[:, k, k].real)
+            for l in range(k + 1, z):
+                res += [sq2 * block[k, l].real, sq2 * block[k, l].imag]
+                rows += [sq2 * dblock[:, k, l].real, sq2 * dblock[:, k, l].imag]
+    return np.array(res).reshape(-1), np.array(rows).reshape(-1, 64)
+
+
+class TestBlockGather:
+    @pytest.mark.parametrize("targets", [(5, 5, 5, 5), (4, 6, 7, 8), (1, 2, 3, 8),
+                                         (8, 8, 8, 8)])
+    def test_bit_equal_to_the_loop_reference(self, rng, targets):
+        problem = rs.RankTargetProblem(targets)
+        for _ in range(3):
+            x = rng.standard_normal(64)
+            res, jac = rs._block_residual_jacobian(problem, x)
+            ref_res, ref_jac = _loop_block_residual_jacobian(problem, x)
+            assert res.tobytes() == ref_res.tobytes()
+            assert jac.shape == ref_jac.shape and jac.tobytes() == ref_jac.tobytes()
+
+
 class TestSolvers:
     @pytest.mark.parametrize("targets", [(5, 5, 5, 5), (6, 6, 6, 6), (7, 7, 7, 7),
                                          (4, 4, 4, 4), (8, 8, 8, 8)])

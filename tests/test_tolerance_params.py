@@ -3,6 +3,8 @@
 Every function in the package that makes a rank, PPT-sign, face-dimension or
 vanishing-I2 decision takes `tolerances: Tolerances`. A parameter carrying one
 of those thresholds on its own would let a call site drop it on the way down.
+Every other threshold is a module constant: no keyword has a float-literal
+default, except the few whose callers pass more than one value.
 """
 
 import ast
@@ -15,16 +17,21 @@ LOOSE_TOLERANCE_NAMES = {"tol", "psd_tol", "window", "i2_zero_tol", "rank_tol"}
 ALLOWED = {("qstate", "rank1_split", "tol"), ("qstate", "factor_product_vector", "tol")}
 
 
-def _parameters():
+def _functions():
+    """(module, function name, ast.arguments) of every function in the package."""
     package = Path(pptatlas.__file__).parent
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                a = node.args
-                names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
-                names += [arg.arg for arg in (a.vararg, a.kwarg) if arg is not None]
-                for name in names:
-                    yield path.stem, getattr(node, "name", "<lambda>"), name
+                yield path.stem, getattr(node, "name", "<lambda>"), node.args
+
+
+def _parameters():
+    for module, func, a in _functions():
+        names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+        names += [arg.arg for arg in (a.vararg, a.kwarg) if arg is not None]
+        for name in names:
+            yield module, func, name
 
 
 def test_no_loose_tolerance_parameters():
@@ -36,3 +43,44 @@ def test_no_loose_tolerance_parameters():
 def test_allowed_split_thresholds_still_exist():
     # keeps ALLOWED from going stale if those functions are renamed
     assert ALLOWED <= set(_parameters())
+
+
+# their callers pass more than one value: product vectors are split at 1e-8
+# and at 1e-6 (extremal._endpoint), tests compare fingerprints at two rtols,
+# and the type I branch guard differs by call site
+ALLOWED_FLOAT_DEFAULTS = {("qstate", "rank1_split", "tol"),
+                          ("qstate", "factor_product_vector", "tol"),
+                          ("invariants", "fingerprints_close", "rtol")}
+
+
+def _is_float_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+def _float_defaults():
+    for module, func, a in _functions():
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+        pairs += zip(a.kwonlyargs, a.kw_defaults)
+        for arg, default in pairs:
+            if default is not None and _is_float_literal(default):
+                yield module, func, arg.arg
+
+
+def _allowed_float_default(module, func, name) -> bool:
+    # the private guard of the type I construction helpers
+    guard = module == "rank4" and func.startswith("_type1_") and name == "guard"
+    return guard or (module, func, name) in ALLOWED_FLOAT_DEFAULTS
+
+
+def test_no_float_literal_keyword_defaults():
+    loose = [entry for entry in _float_defaults() if not _allowed_float_default(*entry)]
+    assert loose == []
+
+
+def test_allowed_float_defaults_still_exist():
+    found = set(_float_defaults())
+    assert ALLOWED_FLOAT_DEFAULTS <= found
+    assert any(func.startswith("_type1_") and name == "guard" for _, func, name in found)
