@@ -30,7 +30,9 @@ class BadArity(PptAtlasError):
 
 
 class DegeneratePencil(PptAtlasError):
-    """A matrix pencil stayed degenerate after random-transform retries."""
+    """A subspace's product-vector pencil gave fewer than four product vectors,
+    or two that share their two-dimensional factor: the subspace holds a
+    continuum of product vectors, or the pencil failed numerically."""
 
 
 class DegenerateQuadruple(PptAtlasError):

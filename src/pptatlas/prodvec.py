@@ -20,9 +20,7 @@ from .qstate import (
     DIM,
     HermitianOperator,
     ProductVectorTriple,
-    kron3,
     product_vector,
-    random_unit_determinant,
     rank1_split,
 )
 
@@ -37,7 +35,6 @@ _ROW_SPLITS = {
 }
 
 _SUBSPACE_TOL = 1e-9
-_MAX_TRANSFORM_RETRIES = 5
 
 
 @dataclass
@@ -223,67 +220,35 @@ def _solve_pencil(psi: np.ndarray, bipartition: str) -> list[ProductVectorTriple
     return found
 
 
-def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str,
-                                rng: np.random.Generator | None = None
+def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str
                                 ) -> list[ProductVectorTriple]:
     """Product vectors of the given bipartition inside a 4-dim subspace.
 
-    Solves the generalized eigenvalue problem of the two half-row slices; when
-    that gives fewer than four vectors, retries after a random product
-    transformation of the subspace and maps the solutions back. A generic
-    subspace yields exactly four vectors, with four distinct two-dimensional
-    factors. Raises DegeneratePencil when every retry still finds fewer than
-    four vectors, and when two of the four share their two-dimensional factor
-    a: the subspace then contains the continuum a (x) span(b1, b2), as
-    |0> (x) C^4 does for 1|23, where the pencil has one eigenvalue four times.
-    A continuum whose vectors differ in that factor is not caught: on the
-    same subspace the 2|13 and 3|12 pencils are singular, and the
-    random-transform retry returns four `rng`-dependent members of it. That
-    stays until the retry and its `rng` go.
+    One deterministic pass: the generalized eigenvalue problem of the two
+    half-row slices, and its shifted pencil when fewer than four
+    eigenvectors factor. A generic subspace yields exactly four vectors,
+    with four distinct two-dimensional factors. A subspace that holds a
+    continuum of product vectors raises DegeneratePencil: fewer than four
+    vectors factor when the pencil is singular (the 2|13 and 3|12 pencils
+    of |0> (x) C^4 give none), and two of the four share their
+    two-dimensional factor a when the continuum is a (x) span(b1, b2) (the
+    1|23 pencil of |0> (x) C^4 has one eigenvalue four times).
     """
     if bipartition not in _ROW_SPLITS:
         raise ValueError(f"bipartition must be one of {BIPARTITIONS}, got {bipartition!r}")
-    psi = basis.psi
-    found = _solve_pencil(psi, bipartition)
-    if len(found) == 4:
-        return _distinct_factors(found, bipartition)
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    proj = psi @ psi.conj().T
-    best = found
-    for _ in range(_MAX_TRANSFORM_RETRIES):
-        factors = [random_unit_determinant(rng) for _ in range(3)]
-        big = kron3(*factors)
-        big_inv = np.linalg.inv(big)
-        psi_t, _ = np.linalg.qr(big @ psi)
-        transformed = _solve_pencil(psi_t, bipartition)
-        found = []
-        for tr in transformed:
-            phi = big_inv @ tr.full
-            triple = _factor_candidate(phi, bipartition, tr.pencil_eigenvalue)
-            if triple is None:
-                continue
-            if np.linalg.norm(proj @ triple.full - triple.full) > _SUBSPACE_TOL:
-                continue
-            if any(_same_ray(triple.full, other.full) for other in found):
-                continue
-            found.append(triple)
-        if len(found) == 4:
-            return _distinct_factors(found, bipartition)
-        if len(found) > len(best):
-            best = found
-    raise DegeneratePencil(
-        f"only {len(best)} product vectors found for bipartition {bipartition} "
-        f"after {_MAX_TRANSFORM_RETRIES} random transforms"
-    )
+    found = _solve_pencil(basis.psi, bipartition)
+    if len(found) < 4:
+        raise DegeneratePencil(
+            f"only {len(found)} product vectors found for bipartition {bipartition}")
+    return _distinct_factors(found, bipartition)
 
 
 def full_product_vectors_in_subspace(basis: SubspaceBasis) -> list[ProductVectorTriple]:
-    """The 2x2x2 product vectors in the subspace: candidates of one pencil
-    that also factor completely. Generic subspaces contain none. Raises
-    DegeneratePencil where product_vectors_in_subspace does for 1|23: a
-    continuum a (x) span(b1, b2) holds full product vectors, so an empty
-    list would be wrong."""
+    """The 2x2x2 product vectors in the subspace: the 1|23 product vectors
+    of the one pencil pass whose cofactor splits too. Generic subspaces
+    contain none. Raises DegeneratePencil where product_vectors_in_subspace
+    does for 1|23: a continuum a (x) span(b1, b2) holds full product
+    vectors, so an empty list would be wrong."""
     candidates = product_vectors_in_subspace(basis, "1|23")
     return [c for c in candidates
             if c.factor1 is not None and c.factor2 is not None and c.factor3 is not None

@@ -206,11 +206,6 @@ class PptProfile:
     def square_sum(self) -> int:
         return int(sum(m * m for m in self.ranks))
 
-    @property
-    def within_extremal_bound(self) -> bool:
-        # 3 * 8^2 + 1 for the three-qubit system
-        return self.square_sum <= 193
-
 
 def ppt_profile(rho, tolerances: Tolerances = DEFAULT) -> PptProfile:
     """Rank profile (m0,m1,m2,m3) of rho, rho^T1, rho^T2, rho^T3.

@@ -20,6 +20,7 @@ from .errors import NotAState
 from .qstate import (
     DIM,
     HermitianOperator,
+    PptProfile,
     hermitian_basis,
     ppt_profile,
     ptranspose_mat,
@@ -79,7 +80,7 @@ class RankSearchResult:
     attempts: int
     evaluations: int
     success: bool
-    profile: object | None = None
+    profile: PptProfile | None = None
 
 
 def _random_start(problem: RankTargetProblem, rng: np.random.Generator) -> np.ndarray:

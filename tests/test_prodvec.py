@@ -64,11 +64,16 @@ class TestPencilExtraction:
     def test_continuum_of_shared_factor_raises(self):
         """|0> (x) C^4 holds |0> (x) psi for every psi: for 1|23 the pencil has
         one eigenvalue four times, and the four vectors it gives share their
-        qubit-1 factor, so no four of them are the subspace's."""
+        qubit-1 factor, so no four of them are the subspace's. For 2|13 and
+        3|12 the pencil is singular and no vector factors."""
         basis = pv.SubspaceBasis(np.eye(8, 4, dtype=complex))
         with pytest.raises(DegeneratePencil, match=r"vectors 1 and 2 of bipartition 1\|23 "
                                                    r"share their factor1 \(overlap gap"):
             pv.product_vectors_in_subspace(basis, "1|23")
+        for bipartition in ("2|13", "3|12"):
+            with pytest.raises(DegeneratePencil, match=r"only 0 product vectors found for "
+                                                       rf"bipartition {bipartition[0]}\|"):
+                pv.product_vectors_in_subspace(basis, bipartition)
         # |0>|0>|0> and every other |0> (x) product lie in it
         with pytest.raises(DegeneratePencil):
             pv.full_product_vectors_in_subspace(basis)

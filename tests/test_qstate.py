@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from pptatlas import extremal as ex
 from pptatlas import qstate as qs
 from pptatlas.errors import DegenerateDraw, NotAState, SingularFactor
 
@@ -221,7 +222,7 @@ class TestPptProfile:
         assert profile.ranks == (8, 8, 8, 8)
         assert profile.is_ppt
         assert profile.square_sum == 256
-        assert not profile.within_extremal_bound
+        assert not ex.rank_square_bound(profile.ranks).admissible
 
     def test_sorted_key(self, rng):
         profile = qs.ppt_profile(np.eye(8) / 8)

@@ -715,7 +715,7 @@ class TestTypeOne:
 
     def test_quadruple_parameters_real(self, rng):
         state, _ = r4.construct_type1(rng)
-        t_x, t_y, t_z = r4.quadruple_parameters(state, rng=rng)
+        t_x, t_y, t_z = r4.quadruple_parameters(state)
         for value in (t_x, t_y, t_z):
             assert abs(value.imag) < 1e-7 * (1.0 + abs(value))
 
@@ -793,7 +793,7 @@ class TestIsotropicSubspace:
 class TestBiseparableTriple:
     def test_type2_state_triple(self, rng):
         state, _ = r4.construct_type2(0.7 + 0.3j)
-        triple = r4.biseparable_triple(state, rng=rng)
+        triple = r4.biseparable_triple(state)
         assert triple.weights_e.min() > 0
         assert triple.weights_f.min() > 0
         assert triple.weights_g.min() > 0
@@ -803,7 +803,7 @@ class TestBiseparableTriple:
 
     def test_spans_agree(self, rng):
         state, _ = r4.construct_type1(rng)
-        triple = r4.biseparable_triple(state, rng=rng)
+        triple = r4.biseparable_triple(state)
         for cols in (triple.f, triple.g):
             # principal angles between the e-span and the other spans vanish
             qe, _ = np.linalg.qr(triple.e)
