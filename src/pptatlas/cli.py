@@ -158,10 +158,9 @@ def annotate_state(state: HermitianOperator, provenance: dict,
     An extremal state is decided without the probe: separable exactly when it
     is pure (a pure extremal PPT state is a product, a mixed one is
     entangled). For a nonextremal state with probe_trials > 0 the
-    separability probe runs and sets `separable` to True for a certified
-    decomposition and leaves it None otherwise: its entangled verdicts on a
-    nonextremal input carry the caveat that the state may still be a mixture
-    of entangled extremal states, so they are not a decision.
+    separability probe runs: `separable` is True when it certifies a product
+    decomposition and None when it finds none, since a separable state can be
+    a mixture of entangled extremal PPT states.
     """
     state = state.normalized()
     result = is_extremal(state, tolerances)
@@ -495,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--in", dest="in_path", required=True)
     p_cls.add_argument("--out", default=_env("OUT", None))
     p_cls.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
-    p_cls.add_argument("--probe-trials", type=int, default=4)
+    p_cls.add_argument("--probe-trials", type=int, default=4,
+                       help="decomposition trees the separability probe tries on a "
+                            "nonextremal state; 0 skips it")
     _add_tolerance_flags(p_cls)
 
     p_cen = sub.add_parser("census", help="aggregate records into a census table")

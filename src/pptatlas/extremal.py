@@ -240,33 +240,22 @@ def descend_to_extremal(rho, rng: np.random.Generator,
 class ProbeEndpoint:
     state: HermitianOperator
     weight: float
-    profile: PptProfile
-    pure: bool
-    product: bool
-    # False when the walk stopped before a face of dimension zero, or reached
-    # one with a mixed state of rank 2 or 3
-    resolved: bool
 
 
 @dataclass
 class SeparabilityProbe:
     """Outcome of the two-directions decomposition walk.
 
-    verdict 'separable_evidence' means some probe tree decomposed the state
-    into pure product endpoints (a numerical separability certificate);
-    'entangled_evidence' means a mixed extremal endpoint was found, which for
-    a nonextremal input may still be a false negative (`caveat` is then set).
-
-    The endpoints of an 'entangled_evidence' verdict on a nonextremal input
-    pool the mixed extremal leaves of all trees, merged where they coincide.
-    Each tree splits weight 1, so the pooled weights sum over the trees (to
-    the number of trees run when every leaf is mixed), not to 1: they are not
-    a decomposition of the input.
+    verdict 'separable_evidence' means a probe tree decomposed the state into
+    pure product endpoints whose weights sum to 1 and which rebuild it to
+    reconstruction_error (a numerical separability certificate). Otherwise
+    the verdict is 'inconclusive' with no endpoints: a tree that ends in a
+    mixed state decides nothing, because a separable state can be a mixture
+    of entangled extremal PPT states.
     """
 
     verdict: str
     endpoints: list[ProbeEndpoint]
-    caveat: bool
     trees: int
     reconstruction_error: float | None = None
 
@@ -279,62 +268,54 @@ def _merge_endpoint(pool: list[ProbeEndpoint], ep: ProbeEndpoint) -> None:
     pool.append(ep)
 
 
-def _endpoint(state: HermitianOperator, weight: float, profile: PptProfile,
-              resolved: bool) -> ProbeEndpoint:
-    pure = profile.ranks[0] == 1
-    product = False
-    if pure:
-        w, v = np.linalg.eigh(state.mat)
-        product = factor_product_vector(v[:, -1], tol=1e-6) is not None
-    return ProbeEndpoint(state, weight, profile, pure, product, resolved)
+def _pure_product(space: FaceSolutionSpace) -> bool:
+    """Leaf test: rank one, and the top eigenvector factors into three qubits."""
+    if space.profile.ranks[0] != 1:
+        return False
+    w, v = np.linalg.eigh(space.state.mat)
+    return factor_product_vector(v[:, -1], tol=1e-6) is not None
 
 
 def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
                        tolerances: Tolerances = DEFAULT) -> SeparabilityProbe:
-    """Walk to both face boundary points along random directions, recursing on
-    the endpoints to depth 8, and classify the state by the extremal states
-    collected."""
+    """Split the state between the two boundary points of a random face
+    direction, recursing on both, and certify it separable when one tree's
+    leaves are all pure product states that rebuild it.
+
+    A node is a leaf when its face has dimension 0, at depth 8, or when 5
+    directions give no two-sided split."""
     root = HermitianOperator(_as_matrix(rho)).normalized()
     root_space = face_solution_space(root, tolerances)
     if root_space.dimension == 0:
-        ep = _endpoint(root_space.state, 1.0, root_space.profile, True)
-        if ep.pure and ep.product:
-            return SeparabilityProbe("separable_evidence", [ep], False, 0, 0.0)
-        # a mixed extremal PPT state cannot be a mixture of pure products
-        return SeparabilityProbe("entangled_evidence", [ep], False, 0, 0.0)
+        if _pure_product(root_space):
+            return SeparabilityProbe("separable_evidence",
+                                     [ProbeEndpoint(root_space.state, 1.0)], 0, 0.0)
+        return SeparabilityProbe("inconclusive", [], 0)
 
-    mixed_pool: list[ProbeEndpoint] = []
     trees_run = 0
     for _ in range(max(1, n_trials)):
         trees_run += 1
         leaves: list[ProbeEndpoint] = []
+        certified = True
         stack = [(1.0, root_space, 0)]
-        certifiable = True
         while stack:
             weight, space, depth = stack.pop()
-            if space.dimension == 0:
-                # a PPT state of rank 2 or 3 is separable, so a mixed extremal
-                # leaf of that rank is a misread kernel, not entanglement
-                misread = 2 <= space.profile.ranks[0] <= 3
-                leaves.append(_endpoint(space.state, weight, space.profile, not misread))
-                certifiable = certifiable and not misread
-                continue
-            if depth >= 8:
-                leaves.append(_endpoint(space.state, weight, space.profile, False))
-                certifiable = False
-                continue
             split = None
-            for _ in range(5):
-                sigma = _random_direction(space, rng)
-                eps_plus, cand_plus = line_search_to_boundary(space.state, sigma, tolerances)
-                eps_minus, cand_minus = line_search_to_boundary(space.state, -sigma,
-                                                                tolerances)
-                if eps_plus > 1e-8 and eps_minus > 1e-8:
-                    split = (eps_plus, cand_plus, eps_minus, cand_minus)
-                    break
+            if space.dimension > 0 and depth < 8:
+                for _ in range(5):
+                    sigma = _random_direction(space, rng)
+                    eps_plus, cand_plus = line_search_to_boundary(space.state, sigma,
+                                                                  tolerances)
+                    eps_minus, cand_minus = line_search_to_boundary(space.state, -sigma,
+                                                                    tolerances)
+                    if eps_plus > 1e-8 and eps_minus > 1e-8:
+                        split = (eps_plus, cand_plus, eps_minus, cand_minus)
+                        break
             if split is None:
-                leaves.append(_endpoint(space.state, weight, space.profile, False))
-                certifiable = False
+                # a failed leaf does not end the tree, so that the trees after
+                # it draw the same directions from rng
+                certified = certified and _pure_product(space)
+                leaves.append(ProbeEndpoint(space.state, weight))
                 continue
             eps_plus, cand_plus, eps_minus, cand_minus = split
             total = eps_plus + eps_minus
@@ -343,10 +324,7 @@ def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
             stack.append((w_minus, face_solution_space(cand_minus, tolerances), depth + 1))
             stack.append((w_plus, face_solution_space(cand_plus, tolerances), depth + 1))
 
-        for ep in leaves:
-            if ep.resolved and not ep.pure:
-                _merge_endpoint(mixed_pool, ep)
-        if certifiable and all(ep.pure and ep.product for ep in leaves):
+        if certified:
             # certify the merged endpoints that are returned, not the leaves
             merged: list[ProbeEndpoint] = []
             for ep in leaves:
@@ -354,12 +332,9 @@ def separability_probe(rho, rng: np.random.Generator, n_trials: int = 4,
             rebuilt = sum(ep.weight * ep.state.mat for ep in merged)
             err = float(np.linalg.norm(rebuilt - root.mat))
             if err < 1e-8:
-                return SeparabilityProbe("separable_evidence", merged, False,
-                                         trees_run, err)
+                return SeparabilityProbe("separable_evidence", merged, trees_run, err)
 
-    if mixed_pool:
-        return SeparabilityProbe("entangled_evidence", mixed_pool, True, trees_run)
-    return SeparabilityProbe("inconclusive", [], True, trees_run)
+    return SeparabilityProbe("inconclusive", [], trees_run)
 
 
 # ---------------------------------------------------------------------------

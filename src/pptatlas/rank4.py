@@ -47,7 +47,7 @@ from .qstate import (
     ppt_profile,
     split_product,
 )
-from .ranksearch import RankTargetProblem, refine_block
+from .ranksearch import RankTargetProblem, refine_block, rho_state
 
 # the symmetric bilinear form u^T (eps x eps) v on C^4
 _EE = np.kron(EPSILON, EPSILON)
@@ -623,14 +623,15 @@ class _CompatibilityResidual:
 
     The residual sees the frame only through its span (pencil columns move
     covariantly with the frame and enter through projectors and overlap
-    moduli), so the 32 vertical directions dX = psi W are null. jacobian
+    moduli), so the 32 vertical directions dX = psi W are null. _jacobian
     differentiates along the other 36, orthonormal in theta: dX = P Z, with
     P an orthonormal basis of span(psi)^perp and Z complex 4x4, and the four
     log-weights. All four stay: the weight scaling M's normalization ignores
     is a common shift of theta[64:] only where the tanh cap acts equally.
 
     _evaluate evaluates one theta (68,); accept recomputes only the candidate
-    half of an evaluation (_Point).
+    half of an evaluation (_Point, by _weigh). The instance holds only the
+    column-matching reference.
     """
 
     def __init__(self):
@@ -641,7 +642,7 @@ class _CompatibilityResidual:
         """The point at theta (68,), point with other log-weights, whose columns
         become the reference; not degenerate, for its frame half is point's."""
         self.reference = point.frame.vecs
-        return self._weigh(point.frame, theta)
+        return _weigh(point.frame, theta)
 
     def _evaluate(self, theta: np.ndarray, update_reference: bool) -> _Point | None:
         """The point at theta (68,), or None when it is degenerate: a
@@ -666,138 +667,139 @@ class _CompatibilityResidual:
         overlap = _adjoint(vecs) @ vecs
         det = np.maximum(np.linalg.det(overlap).real, 1e-300)
         gram = 0.5 * np.maximum(0.0, _GRAM_LOG_FLOOR - np.log10(det))
-        return self._weigh(_Frame(psi, upper, eigvals, eigvecs, norms, vecs, overlap, gram),
-                           theta)
+        return _weigh(_Frame(psi, upper, eigvals, eigvecs, norms, vecs, overlap, gram), theta)
 
-    def _weigh(self, frame: _Frame, theta: np.ndarray) -> _Point | None:
-        """The candidate half at theta's log-weights; None for a singular Gram system."""
-        logw = _WEIGHT_CAP * np.tanh(theta[64:] / _WEIGHT_CAP)
-        e, others = frame.vecs[0], frame.vecs[1:]
-        mats = (e * np.exp(logw)) @ _adjoint(e)
-        scale = np.linalg.norm(mats, axis=(-2, -1))
-        mhat = mats / scale
-        rhs = np.einsum("kaj,kaj->kj", others.conj(), mhat @ others).real
-        try:
-            coef = np.linalg.solve(np.abs(frame.overlap[1:]) ** 2, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return None
-        left = mhat - (others * coef[:, None, :]) @ _adjoint(others)
-        ev4 = np.maximum(np.abs(np.linalg.eigvalsh(mhat)[4]), 1e-300)
-        rank_barrier = 0.5 * np.maximum(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4))
-        residuals = np.concatenate([mat_to_coords(left).ravel(), frame.gram, [rank_barrier]])
-        return _Point(frame, logw, mhat, scale, coef, residuals)
 
-    def jacobian(self, point: _Point) -> tuple[np.ndarray, np.ndarray]:
-        """(J, basis) at point: the rows of basis (36, 68) are the directions
-        in theta, and J = dr/ds (m, 36) along them, so a step s moves theta
-        by s @ basis. Tangents carry the bipartition first.
+def _weigh(frame: _Frame, theta: np.ndarray) -> _Point | None:
+    """The candidate half at theta's log-weights; None for a singular Gram system."""
+    logw = _WEIGHT_CAP * np.tanh(theta[64:] / _WEIGHT_CAP)
+    e, others = frame.vecs[0], frame.vecs[1:]
+    mats = (e * np.exp(logw)) @ _adjoint(e)
+    scale = np.linalg.norm(mats, axis=(-2, -1))
+    mhat = mats / scale
+    rhs = np.einsum("kaj,kaj->kj", others.conj(), mhat @ others).real
+    try:
+        coef = np.linalg.solve(np.abs(frame.overlap[1:]) ** 2, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    left = mhat - (others * coef[:, None, :]) @ _adjoint(others)
+    ev4 = np.maximum(np.abs(np.linalg.eigvalsh(mhat)[4]), 1e-300)
+    rank_barrier = 0.5 * np.maximum(0.0, np.log10(_RANK_FLOOR) - np.log10(ev4))
+    residuals = np.concatenate([mat_to_coords(left).ravel(), frame.gram, [rank_barrier]])
+    return _Point(frame, logw, mhat, scale, coef, residuals)
 
-        Raises LinAlgError when the derivative of a pencil eigenvector is not
-        trustworthy: when min |l_i - l_j| / max |l_k| over the eigenvalues l
-        of each pencil is below _PENCIL_GAP_FLOOR (the derivative divides by
-        l_j - l_i), or when a matrix it inverts (R of the frame, B V of a
-        pencil (A, B) with eigenvectors V, a Gram matrix) is singular.
-        """
-        frame = point.frame
-        psi, vecs, eigvals, eigvecs = frame.psi, frame.vecs, frame.eigvals, frame.eigvecs
-        gaps = eigvals[:, None, :] - eigvals[:, :, None]        # l_j - l_i
-        rel_gap = (np.abs(gaps[:, _OFF_DIAGONAL]).min(axis=1) / np.abs(eigvals).max(axis=1)).min()
-        if not rel_gap >= _PENCIL_GAP_FLOOR:
-            raise np.linalg.LinAlgError(f"relative pencil eigenvalue gap {rel_gap:.1e}")
 
-        # X + t dX = (psi + t dX R^-1) R and only the span matters, so the
-        # step dX = P Z moves psi by P Z R^-1. For a pencil (A, B) of rows of
-        # psi, C = B^-1 A = V L V^-1 and Phi = psi V:
-        # V^-1 dC V = U (P_A Z Y - P_B Z Y L), with U = (B V)^-1, Y = R^-1 V
-        # and P_A, P_B the rows of P in A and B; dV = V (F o V^-1 dC V) with
-        # F_ij = 1 / (l_j - l_i); and dPhi = P Z Y + Phi (F o V^-1 dC V).
-        # For Z = e_b e_c^T this factorizes as dPhi[x, j] = K[x, b, j] Y[c, j],
-        # and along i Z, dPhi moves i times as far: the 16 complex directions
-        # Z give all 32 real ones.
-        perp = np.linalg.qr(psi, mode="complete")[0][:, 4:]
-        inv_gaps = _OFF_DIAGONAL / (gaps + _IDENTITY)
-        phis = psi @ eigvecs
-        y_mat = np.linalg.solve(frame.upper, eigvecs)
-        u_split = np.linalg.solve(phis[_PENCILS, _BOTTOM_ROWS],
-                                  perp[_SPLIT_ROWS].reshape(3, 4, 8))   # [U P_A, U P_B]
-        inner = inv_gaps[:, :, None, :] * (u_split[..., :4, None] - eigvals[:, None, None, :]
-                                           * u_split[..., 4:, None])
-        k_mat = perp[:, :, None] + (phis @ inner.reshape(3, 4, 16)).reshape(3, DIM, 4, 4)
+def _jacobian(point: _Point) -> tuple[np.ndarray, np.ndarray]:
+    """(J, basis) at point: the rows of basis (36, 68) are the directions
+    in theta, and J = dr/ds (m, 36) along them, so a step s moves theta
+    by s @ basis. Tangents carry the bipartition first.
 
-        # The unit columns v = phi / |phi| move along s Z, s = 1 or i, by
-        # dv_j = (dphi_j - v_j Re(v_j^dag dphi_j)) / |phi_j| = a_cj K_bj - rho_bcj v_j,
-        # with a_cj = s Y_cj / |phi_j| and rho_bcj = Re(a_cj v_j^dag K_bj): one
-        # complex v_j^dag K_bj serves both. dv is never formed; its products
-        # with W = V and W = mhat V are built from K^dag W and V^dag W.
-        logw, mhat, coef = point.logw, point.mhat, point.coef
-        w_mat = np.concatenate([vecs, mhat @ vecs], axis=2)             # W = [V, mhat V]
-        kdag_w = (_adjoint(k_mat.reshape(3, DIM, 16)) @ w_mat).reshape(3, 4, 4, 8)
-        vdag_w = _adjoint(vecs) @ w_mat
-        y_unit = y_mat / frame.norms[:, None, :]
-        a_dir = _PHASES * y_unit[:, None]                                 # (3, s, c, j)
-        radial = kdag_w[:, None, :, None, _COLS, _COLS].conj() * a_dir[:, :, None]
-        rho = radial.real                                                # (3, s, b, c, j)
-        # dv^dag W for W = [V, mhat V], one row per direction: (3, 32, 4, 8)
-        dvdag_w = (a_dir.conj()[:, :, None, :, :, None] * kdag_w[:, None, :, None]
-                   - rho[..., None] * vdag_w[:, None, None, None]).reshape(3, 32, 4, 8)
+    Raises LinAlgError when the derivative of a pencil eigenvector is not
+    trustworthy: when min |l_i - l_j| / max |l_k| over the eigenvalues l
+    of each pencil is below _PENCIL_GAP_FLOOR (the derivative divides by
+    l_j - l_i), or when a matrix it inverts (R of the frame, B V of a
+    pencil (A, B) with eigenvectors V, a Gram matrix) is singular.
+    """
+    frame = point.frame
+    psi, vecs, eigvals, eigvecs = frame.psi, frame.vecs, frame.eigvals, frame.eigvecs
+    gaps = eigvals[:, None, :] - eigvals[:, :, None]        # l_j - l_i
+    rel_gap = (np.abs(gaps[:, _OFF_DIAGONAL]).min(axis=1) / np.abs(eigvals).max(axis=1)).min()
+    if not rel_gap >= _PENCIL_GAP_FLOOR:
+        raise np.linalg.LinAlgError(f"relative pencil eigenvalue gap {rel_gap:.1e}")
 
-        # Everything else is in hermitian_basis() coordinates, where the trace
-        # form Tr(A B) of Hermitian matrices is a dot product. A frame
-        # direction moves the product V D V^dag of a bipartition's columns by
-        # H + H^dag, H = dV D V^dag = sum_j d_j a_cj K_bj v_j^dag - d_j rho_bcj v_j v_j^dag:
-        # D = diag(w) for the candidate M = E diag(w) E^dag, diag(c) for the
-        # fitted combinations of the other two. The coordinates read only the
-        # upper triangle of H + H^dag. The log-weights move only M, through
-        # the tanh cap: dw_i = w_i (1 - (logw_i / cap)^2).
-        weights = np.exp(logw)
-        diag = np.concatenate([weights[None], coef])
-        # K_bj v_j^dag at the upper entries and at their mirrors: (3, j, b, 72)
-        mirrored = (k_mat.transpose(0, 3, 2, 1)[..., _MIRRORED_ROW]
-                    * np.swapaxes(vecs.conj(), 1, 2)[:, :, None, _MIRRORED_COL])
-        upper = ((diag[:, None, None] * a_dir).reshape(3, 8, 4)
-                 @ mirrored.reshape(3, 4, -1)).reshape(3, 2, 4, 4, 72)  # (3, s, c, b, 72)
-        upper = np.swapaxes(upper[..., :36] + upper[..., 36:].conj(), 2, 3)
-        projs = _projector_coords(vecs)                                   # (3, 4, 64)
-        moved = (_upper_to_coords(upper).reshape(3, 32, 64)
-                 - 2.0 * (diag[:, None, None, None] * rho).reshape(3, 32, 4) @ projs)
-        dm = np.concatenate([moved[0], (weights * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None]
-                             * projs[0]])
-        # M's normalization: mhat = M / |M|, d|M| = <mhat, dM>
-        mhat_coords = mat_to_coords(mhat)
-        dmhat = (dm - (dm @ mhat_coords)[:, None] * mhat_coords) / point.scale
+    # X + t dX = (psi + t dX R^-1) R and only the span matters, so the
+    # step dX = P Z moves psi by P Z R^-1. For a pencil (A, B) of rows of
+    # psi, C = B^-1 A = V L V^-1 and Phi = psi V:
+    # V^-1 dC V = U (P_A Z Y - P_B Z Y L), with U = (B V)^-1, Y = R^-1 V
+    # and P_A, P_B the rows of P in A and B; dV = V (F o V^-1 dC V) with
+    # F_ij = 1 / (l_j - l_i); and dPhi = P Z Y + Phi (F o V^-1 dC V).
+    # For Z = e_b e_c^T this factorizes as dPhi[x, j] = K[x, b, j] Y[c, j],
+    # and along i Z, dPhi moves i times as far: the 16 complex directions
+    # Z give all 32 real ones.
+    perp = np.linalg.qr(psi, mode="complete")[0][:, 4:]
+    inv_gaps = _OFF_DIAGONAL / (gaps + _IDENTITY)
+    phis = psi @ eigvecs
+    y_mat = np.linalg.solve(frame.upper, eigvecs)
+    u_split = np.linalg.solve(phis[_PENCILS, _BOTTOM_ROWS],
+                              perp[_SPLIT_ROWS].reshape(3, 4, 8))   # [U P_A, U P_B]
+    inner = inv_gaps[:, :, None, :] * (u_split[..., :4, None] - eigvals[:, None, None, :]
+                                       * u_split[..., 4:, None])
+    k_mat = perp[:, :, None] + (phis @ inner.reshape(3, 4, 16)).reshape(3, DIM, 4, 4)
 
-        # the leftovers mhat - F diag(c) F^dag, with |F^dag F|^2 c = diag(F^dag mhat F);
-        # d|F^dag F|^2 = 2 (T + T^T) with T = Re(conj(F^dag F) o dF^dag F)
-        overlap = frame.overlap[1:]
-        half_dgram = (overlap.conj()[:, None] * dvdag_w[1:, :, :, :4]).real
-        drhs = dmhat @ np.swapaxes(projs[1:], 1, 2)
-        dgram_coef = ((half_dgram + np.swapaxes(half_dgram, 2, 3)).reshape(2, -1, 4)
-                      @ coef[:, :, None]).reshape(2, 32, 4)
-        drhs[:, :32] += 2.0 * (dvdag_w[1:, :, _COLS, 4 + _COLS].real - dgram_coef)
-        dcoef = drhs @ np.swapaxes(np.linalg.inv(np.abs(overlap) ** 2), 1, 2)
-        dleft = dmhat - dcoef @ projs[1:]
-        dleft[:, :32] -= moved[1:]
-        jac = [np.swapaxes(dleft, 1, 2).reshape(-1, 36)]
+    # The unit columns v = phi / |phi| move along s Z, s = 1 or i, by
+    # dv_j = (dphi_j - v_j Re(v_j^dag dphi_j)) / |phi_j| = a_cj K_bj - rho_bcj v_j,
+    # with a_cj = s Y_cj / |phi_j| and rho_bcj = Re(a_cj v_j^dag K_bj): one
+    # complex v_j^dag K_bj serves both. dv is never formed; its products
+    # with W = V and W = mhat V are built from K^dag W and V^dag W.
+    logw, mhat, coef = point.logw, point.mhat, point.coef
+    w_mat = np.concatenate([vecs, mhat @ vecs], axis=2)             # W = [V, mhat V]
+    kdag_w = (_adjoint(k_mat.reshape(3, DIM, 16)) @ w_mat).reshape(3, 4, 4, 8)
+    vdag_w = _adjoint(vecs) @ w_mat
+    y_unit = y_mat / frame.norms[:, None, :]
+    a_dir = _PHASES * y_unit[:, None]                                 # (3, s, c, j)
+    radial = kdag_w[:, None, :, None, _COLS, _COLS].conj() * a_dir[:, :, None]
+    rho = radial.real                                                # (3, s, b, c, j)
+    # dv^dag W for W = [V, mhat V], one row per direction: (3, 32, 4, 8)
+    dvdag_w = (a_dir.conj()[:, :, None, :, :, None] * kdag_w[:, None, :, None]
+               - rho[..., None] * vdag_w[:, None, None, None]).reshape(3, 32, 4, 8)
 
-        # the barriers, only where active: d ln det G = 2 Re Tr(G^-1 V^dag dV)
-        r = point.residuals
-        gram_active = r[128:131] > 0
-        dlogdet = np.zeros((3, 36))
-        if gram_active.any():
-            # V^dag dV is the adjoint of dV^dag V
-            g_inv = np.linalg.inv(frame.overlap[gram_active])
-            dlogdet[gram_active, :32] = 2.0 * np.einsum(
-                "kij,ktij->kt", g_inv, dvdag_w[gram_active, :, :, :4].conj()).real
-        jac.append(-0.5 * dlogdet / np.log(10.0))
-        drank = np.zeros((1, 36))
-        if r[-1] > 0:
-            w, u = np.linalg.eigh(mhat)
-            dlam = dmhat @ mat_to_coords(np.outer(u[:, 4], u[:, 4].conj()))
-            drank[0] = -0.5 * dlam / (w[4] * np.log(10.0))
-        jac.append(drank)
-        flat_perp = np.ascontiguousarray(perp).view(float).ravel()
-        basis = np.concatenate([[0.0, 1.0], flat_perp, -flat_perp])[_BASIS_INDEX]
-        return np.concatenate(jac), basis
+    # Everything else is in hermitian_basis() coordinates, where the trace
+    # form Tr(A B) of Hermitian matrices is a dot product. A frame
+    # direction moves the product V D V^dag of a bipartition's columns by
+    # H + H^dag, H = dV D V^dag = sum_j d_j a_cj K_bj v_j^dag - d_j rho_bcj v_j v_j^dag:
+    # D = diag(w) for the candidate M = E diag(w) E^dag, diag(c) for the
+    # fitted combinations of the other two. The coordinates read only the
+    # upper triangle of H + H^dag. The log-weights move only M, through
+    # the tanh cap: dw_i = w_i (1 - (logw_i / cap)^2).
+    weights = np.exp(logw)
+    diag = np.concatenate([weights[None], coef])
+    # K_bj v_j^dag at the upper entries and at their mirrors: (3, j, b, 72)
+    mirrored = (k_mat.transpose(0, 3, 2, 1)[..., _MIRRORED_ROW]
+                * np.swapaxes(vecs.conj(), 1, 2)[:, :, None, _MIRRORED_COL])
+    upper = ((diag[:, None, None] * a_dir).reshape(3, 8, 4)
+             @ mirrored.reshape(3, 4, -1)).reshape(3, 2, 4, 4, 72)  # (3, s, c, b, 72)
+    upper = np.swapaxes(upper[..., :36] + upper[..., 36:].conj(), 2, 3)
+    projs = _projector_coords(vecs)                                   # (3, 4, 64)
+    moved = (_upper_to_coords(upper).reshape(3, 32, 64)
+             - 2.0 * (diag[:, None, None, None] * rho).reshape(3, 32, 4) @ projs)
+    dm = np.concatenate([moved[0], (weights * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None]
+                         * projs[0]])
+    # M's normalization: mhat = M / |M|, d|M| = <mhat, dM>
+    mhat_coords = mat_to_coords(mhat)
+    dmhat = (dm - (dm @ mhat_coords)[:, None] * mhat_coords) / point.scale
+
+    # the leftovers mhat - F diag(c) F^dag, with |F^dag F|^2 c = diag(F^dag mhat F);
+    # d|F^dag F|^2 = 2 (T + T^T) with T = Re(conj(F^dag F) o dF^dag F)
+    overlap = frame.overlap[1:]
+    half_dgram = (overlap.conj()[:, None] * dvdag_w[1:, :, :, :4]).real
+    drhs = dmhat @ np.swapaxes(projs[1:], 1, 2)
+    dgram_coef = ((half_dgram + np.swapaxes(half_dgram, 2, 3)).reshape(2, -1, 4)
+                  @ coef[:, :, None]).reshape(2, 32, 4)
+    drhs[:, :32] += 2.0 * (dvdag_w[1:, :, _COLS, 4 + _COLS].real - dgram_coef)
+    dcoef = drhs @ np.swapaxes(np.linalg.inv(np.abs(overlap) ** 2), 1, 2)
+    dleft = dmhat - dcoef @ projs[1:]
+    dleft[:, :32] -= moved[1:]
+    jac = [np.swapaxes(dleft, 1, 2).reshape(-1, 36)]
+
+    # the barriers, only where active: d ln det G = 2 Re Tr(G^-1 V^dag dV)
+    r = point.residuals
+    gram_active = r[128:131] > 0
+    dlogdet = np.zeros((3, 36))
+    if gram_active.any():
+        # V^dag dV is the adjoint of dV^dag V
+        g_inv = np.linalg.inv(frame.overlap[gram_active])
+        dlogdet[gram_active, :32] = 2.0 * np.einsum(
+            "kij,ktij->kt", g_inv, dvdag_w[gram_active, :, :, :4].conj()).real
+    jac.append(-0.5 * dlogdet / np.log(10.0))
+    drank = np.zeros((1, 36))
+    if r[-1] > 0:
+        w, u = np.linalg.eigh(mhat)
+        dlam = dmhat @ mat_to_coords(np.outer(u[:, 4], u[:, 4].conj()))
+        drank[0] = -0.5 * dlam / (w[4] * np.log(10.0))
+    jac.append(drank)
+    flat_perp = np.ascontiguousarray(perp).view(float).ravel()
+    basis = np.concatenate([[0.0, 1.0], flat_perp, -flat_perp])[_BASIS_INDEX]
+    return np.concatenate(jac), basis
 
 
 # how a restart of compatible_subspace_search ends
@@ -840,7 +842,7 @@ def compatible_subspace_search(rng: np.random.Generator,
     iterations.
 
     Each iteration differentiates the current point along 36 directions
-    (_CompatibilityResidual.jacobian), solves the 36x36 damped normal
+    (_jacobian), solves the 36x36 damped normal
     equations and maps the step back to the 68 raw parameters. Trials are
     single-point evaluations; recentring an accepted trial's log-weights
     reuses its frame half (accept). No Jacobian is taken where no step
@@ -876,7 +878,7 @@ def compatible_subspace_search(rng: np.random.Generator,
                 break
             jacobians += 1
             try:
-                jac, basis = residual.jacobian(point)
+                jac, basis = _jacobian(point)
             except np.linalg.LinAlgError:
                 end = "jacobian_refused"
                 break
@@ -1001,7 +1003,7 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         if f_pin > 1e-20:
             rejections["pin_failed"] += 1
             continue
-        state = problem.rho(x)
+        state = rho_state(x)
         if state.trace() < 0:
             state = HermitianOperator(-state.mat)
         state = state.normalized()

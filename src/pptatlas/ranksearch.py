@@ -33,6 +33,17 @@ from .qstate import (
 _BASIS = hermitian_basis()
 _BASIS_PT = np.stack([ptranspose_mat(_BASIS, i) for i in range(4)])
 _BASIS_PT.flags.writeable = False
+# the search coordinates x, one per basis element
+N_PARAMETERS = _BASIS.shape[0]
+
+
+def rho_mat(x: np.ndarray) -> np.ndarray:
+    """The matrix sum_j x_j M_j over the Hermitian basis."""
+    return np.einsum("j,jab->ab", np.asarray(x, dtype=float), _BASIS)
+
+
+def rho_state(x: np.ndarray) -> HermitianOperator:
+    return HermitianOperator(rho_mat(x))
 
 
 @dataclass
@@ -48,23 +59,13 @@ class RankTargetProblem:
         self.targets = targets
 
     @property
-    def n_parameters(self) -> int:
-        return _BASIS.shape[0]
-
-    @property
     def n_equations(self) -> int:
         return 4 * DIM - sum(self.targets)
-
-    def rho_mat(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("j,jab->ab", np.asarray(x, dtype=float), _BASIS)
-
-    def rho(self, x: np.ndarray) -> HermitianOperator:
-        return HermitianOperator(self.rho_mat(x))
 
 
 def eigen_residual(problem: RankTargetProblem, x: np.ndarray) -> np.ndarray:
     """The 8-m_i lowest eigenvalues of each partial transpose, concatenated."""
-    spectra = transpose_spectra(problem.rho_mat(x))
+    spectra = transpose_spectra(rho_mat(x))
     return np.concatenate([evs[:DIM - m] for evs, m in zip(spectra, problem.targets)])
 
 
@@ -83,14 +84,14 @@ class RankSearchResult:
     profile: PptProfile | None = None
 
 
-def _random_start(problem: RankTargetProblem, rng: np.random.Generator) -> np.ndarray:
+def _random_start(rng: np.random.Generator) -> np.ndarray:
     """Coordinates of a random PPT state, scaled to unit Frobenius norm.
 
     Starting PPT keeps the trivial full-rank targets feasible.
     """
     m = random_ppt_state(rng).mat
     x = np.einsum("kab,ba->k", _BASIS, m).real
-    return x / np.linalg.norm(problem.rho_mat(x))
+    return x / np.linalg.norm(rho_mat(x))
 
 
 def _validate(problem: RankTargetProblem, x: np.ndarray, tolerances: Tolerances):
@@ -99,7 +100,7 @@ def _validate(problem: RankTargetProblem, x: np.ndarray, tolerances: Tolerances)
     A point whose rho is itself indefinite, or traceless, fails like any other
     non-PPT point.
     """
-    state = problem.rho(x)
+    state = rho_state(x)
     if state.trace() < 0:
         state = HermitianOperator(-state.mat)
     try:
@@ -143,7 +144,7 @@ def _block_residual_jacobian(problem: RankTargetProblem, x: np.ndarray
     eigenvalues reach zero together; the block vanishes exactly when the
     lowest eigenvalues do.
     """
-    mat = problem.rho_mat(x)
+    mat = rho_mat(x)
     res, rows = [], []
     for i in range(4):
         z = DIM - problem.targets[i]
@@ -159,7 +160,7 @@ def _block_residual_jacobian(problem: RankTargetProblem, x: np.ndarray
         flat = np.ascontiguousarray(dblock).view(float).reshape(len(dblock), -1)
         rows.append((flat[:, index] * scale).T)
     if not res:
-        return np.zeros(0), np.zeros((0, problem.n_parameters))
+        return np.zeros(0), np.zeros((0, N_PARAMETERS))
     return np.concatenate(res), np.concatenate(rows)
 
 
@@ -177,7 +178,7 @@ def refine_block(problem: RankTargetProblem, x0: np.ndarray,
     Progress is measured by the eigenvalue square sum f, the objective, not
     by the block residual. Returns (x, f, evaluations).
     """
-    x = x0 / np.linalg.norm(problem.rho_mat(x0))
+    x = x0 / np.linalg.norm(rho_mat(x0))
     f = objective(problem, x)
     evals = 1
     lam = 1e-8
@@ -193,7 +194,7 @@ def refine_block(problem: RankTargetProblem, x0: np.ndarray,
         for _ in range(30):
             dx = np.linalg.solve(a_mat + lam * np.eye(a_mat.shape[0]), rhs)
             xt = x + dx
-            nrm = np.linalg.norm(problem.rho_mat(xt))
+            nrm = np.linalg.norm(rho_mat(xt))
             if nrm < 1e-300:
                 lam *= 7.0
                 continue
@@ -226,7 +227,7 @@ def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
     best_f = np.inf
     for _ in range(restarts):
         attempts += 1
-        x, f, e = refine_block(problem, _random_start(problem, rng))
+        x, f, e = refine_block(problem, _random_start(rng))
         evals += e
         best_f = min(best_f, f)
         if f < _F_TARGET:
@@ -242,10 +243,13 @@ def solve_targets(problem: RankTargetProblem, rng: np.random.Generator,
 
 
 __all__ = [
+    "N_PARAMETERS",
     "RankSearchResult",
     "RankTargetProblem",
     "eigen_residual",
     "objective",
     "refine_block",
+    "rho_mat",
+    "rho_state",
     "solve_targets",
 ]

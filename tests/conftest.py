@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from pptatlas.qstate import (
     DIM,
     HermitianOperator,
+    factor_product_vector,
     kron3,
+    ppt_profile,
     projector,
     random_ppt_state,
     transpose_spectra,
@@ -55,8 +57,10 @@ def lowest_eigenvalue_gap(problem, x) -> float:
     """Smallest gap among the 9-m_i lowest eigenvalues of each transpose of
     rho(x): the zeroed ones and the first kept one. Perturbation theory, and
     so block_jacobian_diagonal, is reliable only where it is not tiny."""
+    from pptatlas.ranksearch import rho_mat
+
     gaps = [np.diff(evs[:DIM - m + 1]).min()
-            for evs, m in zip(transpose_spectra(problem.rho_mat(x)), problem.targets)
+            for evs, m in zip(transpose_spectra(rho_mat(x)), problem.targets)
             if m < DIM]
     return float(min(gaps, default=np.inf))
 
@@ -76,6 +80,18 @@ def random_separable(rng, k):
     weights /= weights.sum()
     mat = sum(w * projector(random_product_vector(rng)).mat for w in weights)
     return HermitianOperator(mat)
+
+
+def is_product_certificate(endpoints) -> bool:
+    """Whether probe endpoints form a decomposition into pure product states,
+    checked without the probe's own leaf test: each endpoint has rank one and
+    its top eigenvector factors into three qubits, and the weights sum to 1."""
+    for ep in endpoints:
+        if ppt_profile(ep.state).ranks[0] != 1:
+            return False
+        if factor_product_vector(np.linalg.eigh(ep.state.mat)[1][:, -1]) is None:
+            return False
+    return bool(endpoints) and abs(sum(ep.weight for ep in endpoints) - 1.0) < 1e-10
 
 
 @st.composite

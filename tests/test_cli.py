@@ -66,10 +66,10 @@ class TestStateRecord:
         assert "version" in record.provenance
         assert record.classification["separable"] in (True, False, None)
 
-    def test_caveated_entangled_verdict_is_not_a_decision(self):
+    def test_uncertified_nonextremal_state_leaves_separable_null(self):
         """A state deep inside the separable set can be a mixture of
-        entangled extremal PPT states; the probe then reports entangled
-        evidence with its caveat, and the record leaves separability open."""
+        entangled extremal PPT states; when the probe certifies no product
+        decomposition, the record leaves separability open."""
         mixed = qs.random_density(np.random.default_rng(3)).mat
         state = qs.HermitianOperator(0.98 * np.eye(8) / 8 + 0.02 * mixed)
         record = cli.annotate_state(state, {"method": "test"},

@@ -15,12 +15,12 @@ class TestProblemSetup:
 
     def test_residual_length(self, rng):
         problem = rs.RankTargetProblem((6, 6, 6, 7))
-        x = rs._random_start(problem, rng)
+        x = rs._random_start(rng)
         assert rs.eigen_residual(problem, x).size == problem.n_equations
 
     def test_empty_residual_for_full_ranks(self, rng):
         problem = rs.RankTargetProblem((8, 8, 8, 8))
-        assert rs.eigen_residual(problem, rs._random_start(problem, rng)).size == 0
+        assert rs.eigen_residual(problem, rs._random_start(rng)).size == 0
 
     def test_known_state_has_tiny_residual(self):
         from pptatlas.rank4 import construct_type2
@@ -43,12 +43,12 @@ class TestJacobian:
 
     def test_matches_central_finite_differences(self, rng):
         problem = rs.RankTargetProblem((6, 6, 6, 6))
-        x = rs._random_start(problem, rng)
+        x = rs._random_start(rng)
         assert lowest_eigenvalue_gap(problem, x) >= 1e-6
         jac = block_jacobian_diagonal(problem, x)
         step = 1e-6
-        for j in range(0, problem.n_parameters, 7):
-            shift = np.zeros(problem.n_parameters)
+        for j in range(0, rs.N_PARAMETERS, 7):
+            shift = np.zeros(rs.N_PARAMETERS)
             shift[j] = step
             fd = (rs.eigen_residual(problem, x + shift)
                   - rs.eigen_residual(problem, x - shift)) / (2 * step)
@@ -72,7 +72,7 @@ def _loop_block_residual_jacobian(problem, x):
     and their derivatives listed by a loop, (k, k), then sqrt2 Re and sqrt2
     Im of (k, l) for l > k."""
     basis = qs.hermitian_basis()
-    mat = problem.rho_mat(x)
+    mat = rs.rho_mat(x)
     res, rows = [], []
     sq2 = np.sqrt(2.0)
     for i, m in enumerate(problem.targets):

@@ -3,6 +3,8 @@
 A parameter that the body never reads is an option that decides nothing: a
 caller can pass it and nothing changes. It goes, unless a caller outside the
 package still passes it; each such parameter is listed here with the reason.
+A method's self or cls counts too: a method that never reads it is a
+function of its arguments, and belongs at module level.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pptatlas
 
 ALLOWED_UNREAD = {
     # HermitianOperator is immutable: __setattr__ refuses every assignment
+    ("qstate", "HermitianOperator.__setattr__", "self"),
     ("qstate", "HermitianOperator.__setattr__", "name"),
     ("qstate", "HermitianOperator.__setattr__", "value"),
     # product vectors come from one deterministic pencil solve, but the
@@ -22,30 +25,28 @@ ALLOWED_UNREAD = {
 
 
 def _functions():
-    """(module, qualified name, function node, defined in a class) of every
-    function in the package."""
+    """(module, qualified name, function node) of every function in the
+    package."""
     package = Path(pptatlas.__file__).parent
     for path in sorted(package.glob("*.py")):
         yield from _walk(path.stem, ast.parse(path.read_text()), "")
 
 
-def _walk(module, node, prefix, in_class=False):
+def _walk(module, node, prefix):
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield module, prefix + child.name, child, in_class
+            yield module, prefix + child.name, child
             yield from _walk(module, child, f"{prefix}{child.name}.")
         elif isinstance(child, ast.ClassDef):
-            yield from _walk(module, child, f"{prefix}{child.name}.", in_class=True)
+            yield from _walk(module, child, f"{prefix}{child.name}.")
         else:
-            yield from _walk(module, child, prefix, in_class)
+            yield from _walk(module, child, prefix)
 
 
 def _unread():
-    for module, name, func, method in _functions():
+    for module, name, func in _functions():
         a = func.args
         params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
-        if method:
-            params = params[1:]     # self or cls; the package has no staticmethod
         params += [arg.arg for arg in (a.vararg, a.kwarg) if arg is not None]
         read = {node.id for stmt in func.body for node in ast.walk(stmt)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
