@@ -47,7 +47,7 @@ from .qstate import (
     ppt_profile,
     split_product,
 )
-from .ranksearch import RankTargetProblem, refine_block, rho_state
+from .ranksearch import RankTargetProblem, _block_residual_jacobian, refine_block, rho_state
 
 # the symmetric bilinear form u^T (eps x eps) v on C^4
 _EE = np.kron(EPSILON, EPSILON)
@@ -95,12 +95,17 @@ def _projector_coords(cols: np.ndarray) -> np.ndarray:
 # classification
 # ---------------------------------------------------------------------------
 
-def classify_type(rho, tolerances: Tolerances = DEFAULT) -> str:
-    """'I' or 'II' by the quadratic invariant; raises NotRank4 otherwise."""
+def _rank4_matrix(rho, tolerances: Tolerances) -> np.ndarray:
+    """rho's matrix; raises NotRank4 unless rho is PPT with profile 4444."""
     profile = ppt_profile(rho, tolerances)
     if not profile.is_ppt or profile.ranks != (4, 4, 4, 4):
         raise NotRank4(f"profile is {profile.ranks}, is_ppt={profile.is_ppt}")
-    mat = _as_matrix(rho)
+    return _as_matrix(rho)
+
+
+def classify_type(rho, tolerances: Tolerances = DEFAULT) -> str:
+    """'I' or 'II' by the quadratic invariant; raises NotRank4 otherwise."""
+    mat = _rank4_matrix(rho, tolerances)
     i2 = quadratic_invariant(mat)
     tr = float(np.trace(mat).real)
     return "II" if i2_vanishes(i2, tr, tolerances) else "I"
@@ -275,24 +280,28 @@ class TypeIParams:
     t1: float
 
 
-def _type1_rescaled(u: np.ndarray, guard: float = 1e-6
-                    ) -> tuple[np.ndarray, float] | None:
+# a quadratic form or rescaling factor of the type I construction this close
+# to zero puts the draw too near a sign-flip branch
+_TYPE1_BRANCH_GUARD = 1e-6
+
+
+def _type1_rescaled(u: np.ndarray) -> tuple[np.ndarray, float] | None:
     """The columns of u with the first two rescaled, and t1.
 
     t1 is the ratio of the third and fourth column forms; the first two
     columns are rescaled so the bilinear-form conditions hold. Returns None
-    when a needed quadratic form or rescaling factor is within `guard` of
-    zero (too close to a sign-flip branch for stable derivatives).
+    when a needed quadratic form or rescaling factor is within
+    _TYPE1_BRANCH_GUARD of zero.
     """
     u = np.asarray(u, dtype=float).reshape(4, 4)
     u1, u2, u3, u4 = (u[:, i].copy() for i in range(4))
     forms = [_form(c).real for c in (u1, u2, u3, u4)]
-    if min(abs(v) for v in forms) < guard:
+    if min(abs(v) for v in forms) < _TYPE1_BRANCH_GUARD:
         return None
     t1 = forms[2] / forms[3]
     for col, square in ((u1, -(forms[2] + t1 ** 2 * forms[3]) / forms[0]),
                         (u2, -(forms[2] + forms[3]) / forms[1])):
-        if abs(square) < guard:
+        if abs(square) < _TYPE1_BRANCH_GUARD:
             return None
         if square < 0:
             # flipping the first two components flips the sign of the form
@@ -309,13 +318,6 @@ def _type1_state(u_scaled: np.ndarray, t1: float) -> np.ndarray:
     block_c = np.outer(u2, u2) + np.outer(u3, u3) + np.outer(u4, u4)
     rho = np.block([[block_a, block_b], [block_b, block_c]])
     return rho / np.trace(rho)
-
-
-def _type1_from_matrix(u: np.ndarray, guard: float = 1e-6) -> np.ndarray | None:
-    """Deterministic core of the type I construction: R^(4x4) -> rho, or None
-    near a sign-flip branch (see _type1_rescaled)."""
-    rescaled = _type1_rescaled(u, guard)
-    return None if rescaled is None else _type1_state(*rescaled)
 
 
 def _range_product_vectors(rho) -> tuple[HermitianOperator, dict[str, list]]:
@@ -385,45 +387,45 @@ def _sl_orbit_tangents(rho: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-# finite-difference step of type1_parameter_count, and its relative
-# singular-value cut
-_PARAMETER_COUNT_STEP = 1e-6
-_PARAMETER_COUNT_RANK_RTOL = 1e-7
+# singular values at or below this fraction of the largest of their matrix
+# count as zero in family_dimension
+_FAMILY_RANK_RTOL = 1e-8
 
 
-def type1_parameter_count(rng: np.random.Generator) -> int:
-    """Number of continuous parameters of the type I family modulo local
-    unit-determinant transformations, measured at one random sample point.
+class FamilyDimension(NamedTuple):
+    """Real dimension of the rank-4444 PPT states through a state, modulo
+    local unit-determinant transformations and scale, and the gap that
+    decided it: the largest singular value counted as zero and the smallest
+    one kept, each relative to the largest of its matrix."""
 
-    Computed as rank([construction Jacobian; orbit tangents]) minus
-    rank(orbit tangents); the singular-value gap between genuine directions
-    and finite-difference noise is several orders of magnitude. A draw near a
-    sign-flip branch is redrawn; raises DegenerateDraw after
-    _TYPE1_MAX_DRAWS draws.
+    count: int
+    largest_null: float
+    smallest_kept: float
+
+
+def family_dimension(rho, tolerances: Tolerances = DEFAULT) -> FamilyDimension:
+    """Number of real parameters of the rank-4444 family through rho, modulo
+    local SL(2,C)^3 and scale: 7 on the type I family, 2 (one complex t) on
+    type II. Raises NotRank4 unless rho is PPT with profile 4444.
+
+    The tangent space at rho of the states with profile 4444 is the null
+    space of the subspace-block Jacobian that ranksearch refines with; it
+    holds the local orbit tangents and rho itself, and the count is its
+    dimension minus their rank, both at the relative cut _FAMILY_RANK_RTOL.
     """
-
-    def _rank(mat: np.ndarray) -> int:
-        svs = np.linalg.svd(mat, compute_uv=False)
-        return int(np.count_nonzero(svs > _PARAMETER_COUNT_RANK_RTOL * svs[0]))
-
-    for _ in range(_TYPE1_MAX_DRAWS):
-        draw = rng.standard_normal(16)
-        if _type1_from_matrix(draw.reshape(4, 4), guard=1e-2) is None:
-            continue
-        cols = []
-        for j in range(16):
-            shift = np.zeros(16)
-            shift[j] = _PARAMETER_COUNT_STEP
-            plus = _type1_from_matrix((draw + shift).reshape(4, 4), guard=1e-7)
-            minus = _type1_from_matrix((draw - shift).reshape(4, 4), guard=1e-7)
-            if plus is None or minus is None:
-                break
-            cols.append(mat_to_coords((plus - minus) / (2 * _PARAMETER_COUNT_STEP)))
-        else:
-            jac = np.array(cols)
-            orbit = _sl_orbit_tangents(_type1_from_matrix(draw.reshape(4, 4)))
-            return _rank(np.vstack([jac, orbit])) - _rank(orbit)
-    raise DegenerateDraw(f"no usable draw within {_TYPE1_MAX_DRAWS} tries")
+    mat = _rank4_matrix(rho, tolerances)
+    mat = mat / np.trace(mat).real
+    x = mat_to_coords(mat)
+    _, jac = _block_residual_jacobian(RankTargetProblem((4, 4, 4, 4)), x)
+    tangent = np.linalg.svd(jac, compute_uv=False)
+    orbit = np.linalg.svd(np.vstack([_sl_orbit_tangents(mat), x]), compute_uv=False)
+    tangent, orbit = tangent / tangent[0], orbit / orbit[0]
+    count = (np.count_nonzero(tangent <= _FAMILY_RANK_RTOL)
+             - np.count_nonzero(orbit > _FAMILY_RANK_RTOL))
+    values = np.concatenate([tangent, orbit])
+    null = values <= _FAMILY_RANK_RTOL
+    return FamilyDimension(int(count), float(values[null].max(initial=0.0)),
+                           float(values[~null].min()))
 
 
 # ---------------------------------------------------------------------------
@@ -915,8 +917,8 @@ def compatible_subspace_search(rng: np.random.Generator,
 
 @dataclass
 class BiseparableConstruction:
-    """Outcome of the randomized biseparable construction, unpacking as the
-    (state, triple) pair; attempt bookkeeping rides along for statistics."""
+    """Outcome of the randomized biseparable construction: the state and its
+    triple, with attempt bookkeeping for statistics."""
 
     state: HermitianOperator
     triple: BiseparableTriple
@@ -934,16 +936,9 @@ class BiseparableConstruction:
     restart_ends: dict[str, int]
 
     @property
-    def sign_decisions(self) -> int:
-        """Every attempt draws a sign pattern first."""
-        return self.attempts
-
-    @property
     def sign_accepted(self) -> int:
+        """Attempts past the sign gate; every attempt draws a sign pattern first."""
         return self.attempts - self.rejections["sign_gate"]
-
-    def __iter__(self):
-        return iter((self.state, self.triple))
 
 
 # why construct_biseparable turns an attempt down, in the order it checks
@@ -967,7 +962,7 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
     Each attempt draws a sign pattern for the four weights of the first
     decomposition; only the all-equal pattern can give a positive
     semidefinite state, so one attempt in eight survives the sign gate
-    (sign_accepted / sign_decisions tracks the rate), and only those run the
+    (sign_accepted / attempts tracks the rate), and only those run the
     positive-weight compatibility search. One attempt in 16
     starts from a random isotropic subspace, which is where the
     vanishing-invariant (type II) solutions live; `isotropic_start` records
@@ -1040,8 +1035,8 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
 
 __all__ = [
     "BiseparableConstruction", "BiseparableTriple", "CompatibilitySearch",
-    "TypeIIParams", "TypeIParams", "biseparable_triple", "classify_type",
-    "compatible_subspace_search", "construct_biseparable", "construct_type1",
-    "construct_type2", "isotropic_subspace", "quadruple_parameters",
-    "type1_parameter_count", "type2_product_bases", "type2_pt_witness", "type2_weights",
+    "FamilyDimension", "TypeIIParams", "TypeIParams", "biseparable_triple",
+    "classify_type", "compatible_subspace_search", "construct_biseparable",
+    "construct_type1", "construct_type2", "family_dimension", "isotropic_subspace",
+    "quadruple_parameters", "type2_product_bases", "type2_pt_witness", "type2_weights",
 ]

@@ -87,7 +87,9 @@ def test_criterion_03_low_rank_separability():
 
 def test_criterion_04_biseparable_family():
     """100 seeded biseparable constructions: always profile 4444, extremal,
-    entangled; both types occur; sign acceptance in the loose bracket."""
+    entangled, with family dimension 7 for type I and 2 for type II, each
+    decided across a gap of at least six decades; both types occur; sign
+    acceptance in the loose bracket."""
     start = time.time()
     types = []
     all_ok = True
@@ -96,12 +98,13 @@ def test_criterion_04_biseparable_family():
     isotropic_type2 = 0
     jacobians = evaluations = 0
     restart_ends = dict.fromkeys(r4._RESTART_ENDS, 0)
+    worst_gap = np.inf
     detail = ""
     for k, child in enumerate(np.random.SeedSequence(404).spawn(100)):
         rng = np.random.default_rng(child)
         result = r4.construct_biseparable(rng)
         state = result.state
-        decisions += result.sign_decisions
+        decisions += result.attempts
         accepted += result.sign_accepted
         jacobians += result.jacobians
         evaluations += result.evaluations
@@ -109,14 +112,20 @@ def test_criterion_04_biseparable_family():
             restart_ends[end] += count
         profile = qs.ppt_profile(state)
         probe = ex.separability_probe(state, np.random.default_rng(k))
+        dimension = r4.family_dimension(state)
+        gap = dimension.smallest_kept / dimension.largest_null
+        worst_gap = min(worst_gap, gap)
         run_ok = (profile.ranks == (4, 4, 4, 4)
                   and profile.is_ppt
                   and ex.is_extremal(state).extremal
                   and probe.verdict == "inconclusive" and not probe.endpoints
-                  and max(result.singular_values) < 1e-9)
+                  and max(result.singular_values) < 1e-9
+                  and dimension.count == {"I": 7, "II": 2}[result.classification]
+                  and gap >= 1e6)
         if not run_ok:
             all_ok = False
-            detail = f"run {k}: profile {profile.ranks}"
+            detail = (f"run {k}: profile {profile.ranks}, type {result.classification}, "
+                      f"family dimension {dimension.count} across a gap of {gap:.1e}")
             break
         types.append(result.classification)
         isotropic_type2 += result.isotropic_start and result.classification == "II"
@@ -133,7 +142,8 @@ def test_criterion_04_biseparable_family():
                      f"acceptance {accepted}/{decisions} = {rate:.3f}, search work "
                      f"{jacobians} Jacobians and {evaluations} evaluations, restart ends "
                      + ", ".join(f"{end} {count}" for end, count in restart_ends.items())
-                     + f", {elapsed:.0f}s")
+                     + f", family dimensions 7 and 2, worst gap {worst_gap:.1e}, "
+                     f"{elapsed:.0f}s")
 
 
 def test_criterion_05_type1_suite():
@@ -160,7 +170,7 @@ def test_criterion_05_type1_suite():
             all_ok = False
             detail = f"draw {k} violated the contract"
             break
-    counts = [r4.type1_parameter_count(np.random.default_rng(7000 + k))
+    counts = [r4.family_dimension(r4.construct_type1(np.random.default_rng(7000 + k))[0]).count
               for k in range(10)]
     ok = all_ok and all(c == 7 for c in counts)
     report(5, "type I suite", ok,

@@ -9,9 +9,10 @@ from pptatlas import invariants as inv
 from pptatlas import prodvec as pv
 from pptatlas import qstate as qs
 from pptatlas import rank4 as r4
+from pptatlas import ranksearch as rs
 from pptatlas.errors import DegenerateDraw, InvalidParameter, MaxIterations, NotRank4
 
-from conftest import ZeroRng
+from conftest import ZeroRng, random_separable
 
 # allowed two-product support patterns of the u columns, one row per column
 # index, each entry a (k, l, m, n) combination
@@ -722,13 +723,13 @@ class TestTypeOne:
             assert abs(value.imag) < 1e-7 * (1.0 + abs(value))
 
     def test_parameter_count_is_seven(self):
-        counts = [r4.type1_parameter_count(np.random.default_rng(50 + k))
+        counts = [r4.family_dimension(r4.construct_type1(np.random.default_rng(50 + k))[0]).count
                   for k in range(3)]
         assert counts == [7, 7, 7]
 
-    def test_parameter_count_raises_on_degenerate_generator(self):
+    def test_construct_raises_on_degenerate_generator(self):
         with pytest.raises(DegenerateDraw):
-            r4.type1_parameter_count(ZeroRng())
+            r4.construct_type1(ZeroRng())
 
     def test_state_rebuilt_from_rescaled_columns(self, rng):
         state, params = r4.construct_type1(rng)
@@ -741,6 +742,45 @@ class TestTypeOne:
         rho = np.block([[block_a, block_b], [block_b, block_c]])
         rho /= np.trace(rho)
         assert np.abs(rho - state.mat).max() < 1e-12
+
+
+class TestFamilyDimension:
+    def test_count_is_invariant_under_local_transformations(self, rng):
+        for state in (r4.construct_type1(rng)[0], r4.construct_type2(0.6 + 0.8j)[0]):
+            count = r4.family_dimension(state).count
+            for _ in range(3):
+                moved = qs.product_transform(
+                    state, *(qs.random_unit_determinant(rng) for _ in range(3)))
+                assert r4.family_dimension(moved).count == count
+
+    def test_type2_counts_one_complex_parameter_off_the_real_axis(self):
+        for t in (0.6 + 0.8j, 0.5 + 2j, -0.3 + 0.4j):
+            dimension = r4.family_dimension(r4.construct_type2(t)[0])
+            assert dimension.count == 2
+            assert dimension.smallest_kept > 1e6 * dimension.largest_null
+
+    def test_real_t_counts_eight(self):
+        """Real t is where type II meets the closure of type I."""
+        for t in (0.35, 2.0, -0.7):
+            assert r4.family_dimension(r4.construct_type2(t)[0]).count == 8
+
+    def test_upb_state_counts_seven(self):
+        state = pv.upb_state(pv.upb_standard(0.6, 0.9, 1.1))
+        assert r4.family_dimension(state).count == 7
+
+    def test_rejects_a_5555_state(self, rng):
+        state = random_separable(rng, 5)
+        assert qs.ppt_profile(state).ranks == (5, 5, 5, 5)
+        with pytest.raises(NotRank4):
+            r4.family_dimension(state)
+
+    def test_orbit_tangents_lie_in_the_jacobian_null_space(self, rng):
+        state = r4.construct_type1(rng)[0]
+        mat = state.mat / state.trace()
+        x = qs.mat_to_coords(mat)
+        _, jac = rs._block_residual_jacobian(rs.RankTargetProblem((4, 4, 4, 4)), x)
+        tangents = np.vstack([r4._sl_orbit_tangents(mat), x])
+        assert np.abs(jac @ tangents.T).max() < 1e-10 * np.abs(jac).max()
 
 
 class TestIsotropicSubspace:
@@ -817,7 +857,7 @@ class TestBiseparableTriple:
 class TestConstructBiseparable:
     def test_single_run_contract(self):
         result = r4.construct_biseparable(np.random.default_rng(500))
-        state, triple = result
+        state, triple = result.state, result.triple
         profile = qs.ppt_profile(state)
         assert profile.ranks == (4, 4, 4, 4)
         assert profile.is_ppt
@@ -833,7 +873,7 @@ class TestConstructBiseparable:
         assert set(result.rejections) == set(r4._REJECTIONS)
         assert sum(result.rejections.values()) == result.attempts - 1
         assert (result.rejections["sign_gate"]
-                == result.sign_decisions - result.sign_accepted)
+                == result.attempts - result.sign_accepted)
         assert not result.isotropic_start
 
     def test_start_kind_is_recorded(self):

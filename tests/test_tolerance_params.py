@@ -46,8 +46,8 @@ def test_allowed_split_thresholds_still_exist():
 
 
 # their callers pass more than one value: product vectors are split at 1e-8
-# and at 1e-6 (extremal._endpoint), tests compare fingerprints at two rtols,
-# and the type I branch guard differs by call site
+# and at 1e-6 (extremal._pure_product), and tests compare fingerprints at
+# two rtols
 ALLOWED_FLOAT_DEFAULTS = {("qstate", "rank1_split", "tol"),
                           ("qstate", "factor_product_vector", "tol"),
                           ("invariants", "fingerprints_close", "rtol")}
@@ -69,18 +69,10 @@ def _float_defaults():
                 yield module, func, arg.arg
 
 
-def _allowed_float_default(module, func, name) -> bool:
-    # the private guard of the type I construction helpers
-    guard = module == "rank4" and func.startswith("_type1_") and name == "guard"
-    return guard or (module, func, name) in ALLOWED_FLOAT_DEFAULTS
-
-
 def test_no_float_literal_keyword_defaults():
-    loose = [entry for entry in _float_defaults() if not _allowed_float_default(*entry)]
+    loose = [entry for entry in _float_defaults() if entry not in ALLOWED_FLOAT_DEFAULTS]
     assert loose == []
 
 
 def test_allowed_float_defaults_still_exist():
-    found = set(_float_defaults())
-    assert ALLOWED_FLOAT_DEFAULTS <= found
-    assert any(func.startswith("_type1_") and name == "guard" for _, func, name in found)
+    assert ALLOWED_FLOAT_DEFAULTS <= set(_float_defaults())
