@@ -22,7 +22,12 @@ import numpy as np
 from . import __version__
 from .config import DEFAULT, Tolerances
 from .errors import InvalidParameter, PptAtlasError
-from .extremal import descend_to_extremal, is_extremal, rank_square_bound, separability_probe
+from .extremal import (
+    descend_to_extremal,
+    face_solution_space,
+    rank_square_bound,
+    separability_probe,
+)
 from .invariants import InvariantFingerprint, fingerprint
 from .prodvec import upb_standard, upb_state
 from .qstate import PPT_INTERIOR, HermitianOperator, PptProfile, random_ppt_state
@@ -163,15 +168,16 @@ def annotate_state(state: HermitianOperator, provenance: dict,
     a mixture of entangled extremal PPT states.
     """
     state = state.normalized()
-    result = is_extremal(state, tolerances)
-    profile = result.profile
+    space = face_solution_space(state, tolerances)
+    extremal = space.dimension == 0
+    profile = space.profile
     fprint = fingerprint(state, tolerances)
     rank4_type = None
     if profile.is_ppt and profile.ranks == (4, 4, 4, 4):
         # classify_type's rule: the fingerprint's vanishing-I2 decision
         rank4_type = "II" if fprint.degenerate else "I"
     separable: bool | None = None
-    if result.extremal:
+    if extremal:
         separable = profile.ranks[0] == 1
     elif probe_trials > 0:
         rng = probe_rng if probe_rng is not None else np.random.default_rng(0)
@@ -188,7 +194,7 @@ def annotate_state(state: HermitianOperator, provenance: dict,
         matrix=np.array(state.mat),
         profile=profile,
         fingerprint=fprint,
-        extremal=result.extremal,
+        extremal=extremal,
         classification=classification,
         provenance=provenance,
     )

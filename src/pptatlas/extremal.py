@@ -34,48 +34,13 @@ from .qstate import (
 
 
 @dataclass
-class FaceOperators:
-    """The four projection maps, each materialized as a real symmetric 64x64
-    matrix in the orthonormal Hermitian basis, and the state's profile."""
-
-    operators: np.ndarray   # (4, 64, 64)
-    profile: PptProfile
-
-    @property
-    def combined(self) -> np.ndarray:
-        total = self.operators.sum(axis=0)
-        return 0.5 * (total + total.T)
-
-
-def face_operators(rho, tolerances: Tolerances = DEFAULT) -> FaceOperators:
-    """Materialize the four face-constraint projections for a PPT state.
-
-    The profile is taken of rho as given, which ppt_profile normalizes: the
-    same profile a caller gets from ppt_profile(rho)."""
-    mat = _as_matrix(rho)
-    profile = ppt_profile(mat, tolerances)
-    if not profile.is_ppt:
-        raise NotPpt(f"minimum transpose eigenvalue {min(profile.min_eigenvalues):.3e}")
-    mat = mat / np.trace(mat).real
-    basis = hermitian_basis()
-    operators = np.empty((4, 64, 64))
-    for i, pt in enumerate(all_ptransposes(mat)):
-        w, v = np.linalg.eigh(pt)
-        keep = np.abs(w) > tolerances.rank_tol * np.abs(w).max()
-        vk = v[:, keep]
-        proj = vk @ vk.conj().T
-        mapped = np.einsum("ab,kbc,cd->kad", proj, ptranspose_mat(basis, i), proj)
-        operators[i] = np.einsum("lab,kba->lk", basis, ptranspose_mat(mapped, i)).real
-    return FaceOperators(operators, profile)
-
-
-@dataclass
 class FaceSolutionSpace:
     """Traceless solutions of the combined face equation at a given state.
 
     The trivial solution rho is removed; `dimension` is the dimension of the
     face of the unit-trace PPT body in which the state is an interior point,
-    so zero means the state is extremal.
+    so zero means the state is extremal. `profile` is ppt_profile(rho) of rho
+    as given.
     """
 
     state: HermitianOperator
@@ -87,21 +52,36 @@ class FaceSolutionSpace:
 def face_solution_space(rho, tolerances: Tolerances = DEFAULT) -> FaceSolutionSpace:
     """Solve the combined eigenvalue problem and keep the traceless directions.
 
-    Eigenvectors with eigenvalue within face_eig_window of 4 span the
-    solutions; each is shifted by -(trace)*rho, which annihilates the rho
-    direction and leaves traceless face tangents whose span is orthonormalized.
+    Each of the four projection maps sigma -> (P_i sigma^Ti P_i)^Ti is built
+    as a real symmetric 64x64 matrix in the orthonormal Hermitian basis, and
+    their symmetrized sum is diagonalized. Eigenvectors with eigenvalue within
+    face_eig_window of 4 span the solutions; each is shifted by -(trace)*rho,
+    which annihilates the rho direction and leaves traceless face tangents
+    whose span is orthonormalized. Raises NotPpt when rho is not PPT.
     """
-    ops = face_operators(rho, tolerances)
+    mat = _as_matrix(rho)
+    profile = ppt_profile(mat, tolerances)
+    if not profile.is_ppt:
+        raise NotPpt(f"minimum transpose eigenvalue {min(profile.min_eigenvalues):.3e}")
+    mat = mat / np.trace(mat).real
+    basis_full = hermitian_basis()
+    operators = np.empty((4, 64, 64))
+    for i, pt in enumerate(all_ptransposes(mat)):
+        w, v = np.linalg.eigh(pt)
+        keep = np.abs(w) > tolerances.rank_tol * np.abs(w).max()
+        vk = v[:, keep]
+        proj = vk @ vk.conj().T
+        mapped = np.einsum("ab,kbc,cd->kad", proj, ptranspose_mat(basis_full, i), proj)
+        operators[i] = np.einsum("lab,kba->lk", basis_full, ptranspose_mat(mapped, i)).real
+    total = operators.sum(axis=0)
     state = HermitianOperator(_as_matrix(rho)).normalized()
-    w, v = np.linalg.eigh(ops.combined)
+    w, v = np.linalg.eigh(0.5 * (total + total.T))
     sel = np.abs(w - 4.0) < tolerances.face_eig_window
     count = int(np.count_nonzero(sel))
-    basis_full = hermitian_basis()
     rho_coords = mat_to_coords(state.mat)
     trace_vec = np.einsum("kaa->k", basis_full).real
     if count <= 1:
-        return FaceSolutionSpace(state, np.zeros((0, DIM, DIM), dtype=complex), 0,
-                                 ops.profile)
+        return FaceSolutionSpace(state, np.zeros((0, DIM, DIM), dtype=complex), 0, profile)
     sols = v[:, sel].T  # (count, 64)
     sols = sols - np.outer(sols @ trace_vec, rho_coords)
     u_, s_, vt = np.linalg.svd(sols, full_matrices=False)
@@ -111,19 +91,12 @@ def face_solution_space(rho, tolerances: Tolerances = DEFAULT) -> FaceSolutionSp
     dim = min(dim, int(np.count_nonzero(s_ > 0.5)))
     dirs = vt[:dim]
     mats = np.einsum("dk,kab->dab", dirs, basis_full)
-    return FaceSolutionSpace(state, mats, dim, ops.profile)
+    return FaceSolutionSpace(state, mats, dim, profile)
 
 
-class ExtremalityResult(NamedTuple):
-    extremal: bool
-    face_dimension: int
-    profile: PptProfile
-
-
-def is_extremal(rho, tolerances: Tolerances = DEFAULT) -> ExtremalityResult:
+def is_extremal(rho, tolerances: Tolerances = DEFAULT) -> bool:
     """Extremality test: the state is extremal iff its face has dimension zero."""
-    space = face_solution_space(rho, tolerances)
-    return ExtremalityResult(space.dimension == 0, space.dimension, space.profile)
+    return face_solution_space(rho, tolerances).dimension == 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +335,12 @@ def rank_square_bound(ranks, n_parties: int = 3, total_dim: int = DIM) -> RankSq
 
 
 __all__ = [
-    "ExtremalityResult",
-    "FaceOperators",
     "FaceSolutionSpace",
     "ProbeEndpoint",
     "RankSquareBound",
     "SeparabilityProbe",
     "clean_ppt_boundary",
     "descend_to_extremal",
-    "face_operators",
     "face_solution_space",
     "is_extremal",
     "line_search_to_boundary",

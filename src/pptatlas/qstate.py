@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DegenerateDraw, NotAState, SingularFactor
+from .errors import NotAState, SingularFactor
 
 DIM = 8
 N_QUBITS = 3
@@ -65,12 +65,6 @@ class HermitianOperator:
         if abs(tr) < 1e-300:
             raise NotAState("trace is zero, cannot normalize")
         return HermitianOperator(self.mat / tr)
-
-    def ptranspose(self, subsystem: int) -> "HermitianOperator":
-        return partial_transpose(self, subsystem)
-
-    def transpose(self) -> "HermitianOperator":
-        return HermitianOperator(self.mat.T)
 
     def __repr__(self) -> str:
         return f"HermitianOperator(trace={self.trace():.6g})"
@@ -247,25 +241,6 @@ def product_transform(rho, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray
             raise SingularFactor(f"factor {k} has |det| < 1.0e-12")
     big = kron3(*factors)
     return HermitianOperator(big @ _as_matrix(rho) @ big.conj().T)
-
-
-def random_unit_determinant(rng: np.random.Generator) -> np.ndarray:
-    """Random 2x2 complex matrix scaled to unit determinant.
-
-    Entries are bounded by 10 and the condition number by 8, so that
-    quantities of fourth order in the transformed state stay numerically
-    trustworthy; rejected draws are redrawn, and DegenerateDraw is raised
-    after 100 rejections (about one draw in eleven is rejected).
-    """
-    for _ in range(100):
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        det = np.linalg.det(g)
-        if abs(det) < 1e-6:
-            continue
-        v = g / np.sqrt(det)
-        if np.abs(v).max() <= 10.0 and np.linalg.cond(v) <= 8.0:
-            return v
-    raise DegenerateDraw("no bounded unit-determinant matrix in 100 draws")
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +434,6 @@ __all__ = [
     "ptranspose_mat",
     "random_density",
     "random_ppt_state",
-    "random_unit_determinant",
     "rank1_split",
     "split_product",
     "transpose_spectra",

@@ -45,6 +45,7 @@ from .qstate import (
     kron3,
     mat_to_coords,
     ppt_profile,
+    ptranspose_mat,
     split_product,
 )
 from .ranksearch import RankTargetProblem, _block_residual_jacobian, refine_block, rho_state
@@ -261,7 +262,7 @@ def type2_pt_witness(t: complex, signs: tuple[int, int] = (1, 1)
     b = 1.0 / mags[0] ** 2
     state, _ = construct_type2(t)
     v = kron3(np.eye(2), w_mat, w_mat)
-    lhs = b * v @ np.asarray(state.ptranspose(1).mat) @ v.conj().T
+    lhs = b * v @ ptranspose_mat(state.mat, 1) @ v.conj().T
     if np.abs(lhs - state.mat.conj()).max() > 1e-8:
         raise ConstructionError("partial-transpose equivalence failed beyond 1e-8")
     return w_mat, float(b)
@@ -1009,7 +1010,7 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         if not profile.is_ppt or profile.ranks != (4, 4, 4, 4):
             rejections["profile"] += 1
             continue
-        if not is_extremal(state).extremal:
+        if not is_extremal(state):
             # a nonextremal rank-4 PPT state is separable, outside this target
             rejections["nonextremal"] += 1
             continue

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from pptatlas.errors import DegenerateDraw
 from pptatlas.qstate import (
     DIM,
     HermitianOperator,
@@ -72,6 +73,26 @@ def random_unit(rng, n):
 
 def random_product_vector(rng):
     return kron3(random_unit(rng, 2), random_unit(rng, 2), random_unit(rng, 2))
+
+
+def random_unit_determinant(rng) -> np.ndarray:
+    """Random 2x2 complex matrix scaled to unit determinant, for random local
+    SL transforms.
+
+    Entries are bounded by 10 and the condition number by 8, so that
+    quantities of fourth order in the transformed state stay numerically
+    trustworthy; rejected draws are redrawn, and DegenerateDraw is raised
+    after 100 rejections (about one draw in eleven is rejected).
+    """
+    for _ in range(100):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        det = np.linalg.det(g)
+        if abs(det) < 1e-6:
+            continue
+        v = g / np.sqrt(det)
+        if np.abs(v).max() <= 10.0 and np.linalg.cond(v) <= 8.0:
+            return v
+    raise DegenerateDraw("no bounded unit-determinant matrix in 100 draws")
 
 
 def random_separable(rng, k):

@@ -21,6 +21,7 @@ from conftest import (
     is_product_certificate,
     lowest_eigenvalue_gap,
     random_separable,
+    random_unit_determinant,
     w_vector,
 )
 
@@ -54,7 +55,7 @@ def test_criterion_02_pure_state_gate():
     product = ex.is_extremal(qs.projector(np.eye(8)[0]))
     ghz_profile = qs.ppt_profile(qs.projector(ghz_vector()))
     w_profile = qs.ppt_profile(qs.projector(w_vector()))
-    ok = (product.extremal
+    ok = (product
           and not ghz_profile.is_ppt
           and ghz_profile.min_eigenvalues[1] <= -0.1
           and not w_profile.is_ppt)
@@ -117,7 +118,7 @@ def test_criterion_04_biseparable_family():
         worst_gap = min(worst_gap, gap)
         run_ok = (profile.ranks == (4, 4, 4, 4)
                   and profile.is_ppt
-                  and ex.is_extremal(state).extremal
+                  and ex.is_extremal(state)
                   and probe.verdict == "inconclusive" and not probe.endpoints
                   and max(result.singular_values) < 1e-9
                   and dimension.count == {"I": 7, "II": 2}[result.classification]
@@ -164,7 +165,7 @@ def test_criterion_05_type1_suite():
                           for i in (1, 2, 3))
                   and profile.is_ppt
                   and profile.ranks == (4, 4, 4, 4)
-                  and ex.is_extremal(state).extremal
+                  and ex.is_extremal(state)
                   and ratio > 1e-6)
         if not run_ok:
             all_ok = False
@@ -250,7 +251,7 @@ def test_criterion_07_upb_suite():
         product_free = pv.full_product_vectors_in_subspace(
             pv.SubspaceBasis.range_of(state)) == []
         run_ok = (spectrum and recovered and product_free
-                  and ex.is_extremal(state).extremal
+                  and ex.is_extremal(state)
                   and r4.classify_type(state) == "I")
         if not run_ok:
             all_ok = False
@@ -282,7 +283,7 @@ def test_criterion_08_invariant_suite():
             break
         for _ in range(10):
             moved = qs.product_transform(
-                state, *(qs.random_unit_determinant(rng) for _ in range(3)))
+                state, *(random_unit_determinant(rng) for _ in range(3)))
             vals = np.array([inv.quadratic_invariant(moved), *inv.quartic_invariants(moved)])
             rel = np.abs(vals - base) / np.maximum(np.abs(base), 1e-300)
             if rel.max() >= 1e-8:
@@ -358,7 +359,7 @@ def test_criterion_11_rank5555_face_structure():
         _, plus = ex.line_search_to_boundary(space.state, direction)
         _, minus = ex.line_search_to_boundary(space.state, -direction)
         profiles = sorted([qs.ppt_profile(plus).ranks, qs.ppt_profile(minus).ranks])
-        ends_extremal = (ex.is_extremal(plus).extremal and ex.is_extremal(minus).extremal)
+        ends_extremal = (ex.is_extremal(plus) and ex.is_extremal(minus))
         if profiles != [(1, 1, 1, 1), (4, 4, 4, 4)] or not ends_extremal:
             checked_ok = False
             detail = f"seed {seed}: endpoints {profiles}"

@@ -89,7 +89,7 @@ class TestStateRecord:
 
     def test_rank4444_type_comes_from_the_fingerprint(self, monkeypatch, rng):
         """One annotation of a type II state computes the profile once, in
-        is_extremal, and records the profile ppt_profile gives; its type is
+        face_solution_space, and records the profile ppt_profile gives; its type is
         classify_type's on type I, type II and UPB states."""
         calls = []
         profile = qs.ppt_profile
@@ -337,6 +337,16 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "construct_type2", diverge)
         assert cli.main(["construct", "type2", "--t", "1.0"]) == 2
         assert "LinAlgError: Eigenvalues did not converge" in capsys.readouterr().err
+
+    def test_package_runs_as_a_module(self):
+        """`python -m pptatlas --help` prints the help and nothing on stderr."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-m", "pptatlas", "--help"],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "search-extremal" in result.stdout
 
     def test_runtime_never_imports_scipy(self, tmp_path):
         """A descent campaign, a type II construction and the biseparable

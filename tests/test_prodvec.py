@@ -7,7 +7,7 @@ from pptatlas import qstate as qs
 from pptatlas.errors import (DegenerateAngles, DegeneratePencil, DegenerateQuadruple,
                              NotOrthonormal)
 
-from conftest import random_product_vector, random_unit
+from conftest import random_product_vector, random_unit, random_unit_determinant
 
 
 def same_ray(a, b, tol=1e-8):
@@ -185,7 +185,7 @@ class TestStandardForm:
     def test_cross_ratio_invariance(self, rng):
         x = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         t = pv.cross_ratio_parameter(x)
-        v = qs.random_unit_determinant(rng)
+        v = random_unit_determinant(rng)
         scales = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         assert abs(pv.cross_ratio_parameter((v @ x) * scales) - t) < 1e-9 * max(1, abs(t))
 

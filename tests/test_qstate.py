@@ -15,6 +15,7 @@ from conftest import (
     random_hermitian,
     random_product_vector,
     random_unit,
+    random_unit_determinant,
     reference_partial_transpose,
     unitaries,
     w_vector,
@@ -172,7 +173,7 @@ class TestInvariantTensor:
     def test_invariant_under_unit_determinant_products(self, rng):
         e = qs.invariant_tensor_E()
         for _ in range(20):
-            big = qs.kron3(*(qs.random_unit_determinant(rng) for _ in range(3)))
+            big = qs.kron3(*(random_unit_determinant(rng) for _ in range(3)))
             assert np.abs(big @ e @ big.T - e).max() < 1e-10
 
 
@@ -271,7 +272,7 @@ class TestProductTransform:
 
     def test_pure_product_stays_pure_product(self, rng):
         rho = qs.projector(np.eye(8)[0])
-        factors = [qs.random_unit_determinant(rng) for _ in range(3)]
+        factors = [random_unit_determinant(rng) for _ in range(3)]
         out = qs.product_transform(rho, *factors)
         assert qs.ppt_profile(out).ranks == (1, 1, 1, 1)
 
@@ -422,4 +423,4 @@ class TestRandomPptState:
 class TestBoundedDraws:
     def test_unit_determinant_raises_on_degenerate_generator(self):
         with pytest.raises(DegenerateDraw):
-            qs.random_unit_determinant(ZeroRng())
+            random_unit_determinant(ZeroRng())

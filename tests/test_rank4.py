@@ -12,7 +12,7 @@ from pptatlas import rank4 as r4
 from pptatlas import ranksearch as rs
 from pptatlas.errors import DegenerateDraw, InvalidParameter, MaxIterations, NotRank4
 
-from conftest import ZeroRng, random_separable
+from conftest import ZeroRng, random_separable, random_unit_determinant
 
 # allowed two-product support patterns of the u columns, one row per column
 # index, each entry a (k, l, m, n) combination
@@ -618,7 +618,7 @@ class TestTypeTwo:
         profile = qs.ppt_profile(state)
         assert profile.ranks == (4, 4, 4, 4)
         assert profile.is_ppt
-        assert ex.is_extremal(state).extremal
+        assert ex.is_extremal(state)
 
     def test_u_columns_pairwise_form_orthogonal(self):
         u = r4._type2_u(0.3 - 0.9j)
@@ -713,7 +713,7 @@ class TestTypeOne:
                 assert np.abs(qs.ptranspose_mat(mat, k) - mat).max() < 1e-10
             profile = qs.ppt_profile(state)
             assert profile.is_ppt and profile.ranks == (4, 4, 4, 4)
-            assert ex.is_extremal(state).extremal
+            assert ex.is_extremal(state)
             assert abs(params.t1.imag if isinstance(params.t1, complex) else 0.0) == 0.0
 
     def test_quadruple_parameters_real(self, rng):
@@ -750,7 +750,7 @@ class TestFamilyDimension:
             count = r4.family_dimension(state).count
             for _ in range(3):
                 moved = qs.product_transform(
-                    state, *(qs.random_unit_determinant(rng) for _ in range(3)))
+                    state, *(random_unit_determinant(rng) for _ in range(3)))
                 assert r4.family_dimension(moved).count == count
 
     def test_type2_counts_one_complex_parameter_off_the_real_axis(self):
@@ -861,7 +861,7 @@ class TestConstructBiseparable:
         profile = qs.ppt_profile(state)
         assert profile.ranks == (4, 4, 4, 4)
         assert profile.is_ppt
-        assert ex.is_extremal(state).extremal
+        assert ex.is_extremal(state)
         assert max(result.singular_values) < 1e-9
         assert triple.max_disagreement() < 1e-8
         assert result.classification in ("I", "II")
