@@ -320,18 +320,16 @@ class RankSquareBound(NamedTuple):
     admissible: bool
 
 
-def rank_square_bound(ranks, n_parties: int = 3, total_dim: int = DIM) -> RankSquareBound:
-    """Upper limit (2^(n-1) - 1) N^2 + 1 on the rank square sum of an extremal
-    PPT state of an n-partite system of total dimension N."""
+def rank_square_bound(ranks) -> RankSquareBound:
+    """Upper limit (2^(n-1) - 1) N^2 + 1 = 193 on the rank square sum of an
+    extremal PPT state of n = 3 qubits, total dimension N = 8."""
     ranks = [int(m) for m in ranks]
-    expected = 2 ** (n_parties - 1)
-    if len(ranks) != expected:
-        raise BadArity(f"expected {expected} ranks for {n_parties} parties, got {len(ranks)}")
-    if any(m < 1 or m > total_dim for m in ranks):
-        raise BadArity(f"ranks must lie in 1..{total_dim}, got {ranks}")
-    bound = (2 ** (n_parties - 1) - 1) * total_dim ** 2 + 1
+    if len(ranks) != 4:
+        raise BadArity(f"expected 4 ranks for 3 parties, got {len(ranks)}")
+    if any(m < 1 or m > DIM for m in ranks):
+        raise BadArity(f"ranks must lie in 1..{DIM}, got {ranks}")
     square_sum = sum(m * m for m in ranks)
-    return RankSquareBound(bound, square_sum, square_sum <= bound)
+    return RankSquareBound(193, square_sum, square_sum <= 193)
 
 
 __all__ = [

@@ -12,17 +12,12 @@ subspace contains exactly four such vectors per bipartition and no full
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateAngles, DegeneratePencil, DegenerateQuadruple, NotOrthonormal
-from .qstate import (
-    DIM,
-    HermitianOperator,
-    ProductVectorTriple,
-    product_vector,
-    rank1_split,
-)
+from .qstate import DIM, HermitianOperator, factor_product_vector, kron3, rank1_split
 
 BIPARTITIONS = ("1|23", "2|13", "3|12")
 
@@ -54,9 +49,6 @@ class SubspaceBasis:
             psi = q[:, :4]
         self.psi = psi
 
-    def projector(self) -> np.ndarray:
-        return self.psi @ self.psi.conj().T
-
     @classmethod
     def from_columns(cls, columns) -> "SubspaceBasis":
         m = np.asarray(columns, dtype=complex).reshape(DIM, -1)
@@ -76,14 +68,20 @@ class SubspaceBasis:
         return cls(v[:, 4:])
 
 
-def _factor_candidate(phi: np.ndarray, bipartition: str,
-                      mu: complex) -> ProductVectorTriple | None:
-    """Build a ProductVectorTriple from a pencil eigenvector image, or None if
-    the vector does not factor cleanly.
+class ProductVectors(NamedTuple):
+    """The four product vectors of one bipartition in a four-dimensional
+    subspace, as columns in the order of _mu_sort_key."""
 
-    The bipartition's row split gives the 2x4 matrix whose rows index its
-    2-dim factor; the 2x2 split of the cofactor fills the other two slots in
-    subsystem order, when it is rank one."""
+    vectors: np.ndarray      # unit product vectors, (8, 4)
+    factors: np.ndarray      # their two-dimensional factors, (2, 4)
+    eigenvalues: np.ndarray  # their pencil eigenvalues mu, (4,)
+
+
+def _factor_candidate(phi: np.ndarray, bipartition: str
+                      ) -> tuple[np.ndarray, np.ndarray] | None:
+    """phi normalized and its two-dimensional factor across the bipartition,
+    or None if it does not factor cleanly: the bipartition's row split gives
+    the 2x4 matrix whose rows index that factor, and it must be rank one."""
     nrm = np.linalg.norm(phi)
     if not np.isfinite(nrm) or nrm < 1e-12:
         return None
@@ -92,11 +90,7 @@ def _factor_candidate(phi: np.ndarray, bipartition: str,
     split = rank1_split(phi[top_rows + bottom_rows], 2, 4)
     if split is None:
         return None
-    two, cof = split
-    factors = list(rank1_split(cof, 2, 2) or (None, None))
-    factors.insert(BIPARTITIONS.index(bipartition), two)
-    return ProductVectorTriple(phi, *factors, bipartition=bipartition, cofactor=cof,
-                               pencil_eigenvalue=mu)
+    return phi, split[0]
 
 
 def _ray_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -108,27 +102,29 @@ def _same_ray(a: np.ndarray, b: np.ndarray) -> bool:
     return _ray_gap(a, b) < 1e-8
 
 
-def _distinct_factors(found: list[ProductVectorTriple], bipartition: str
-                      ) -> list[ProductVectorTriple]:
-    """found sorted by _mu_sort_key; DegeneratePencil when two of them share
-    their two-dimensional factor a: then the subspace holds a (x) span(b1, b2),
-    a continuum of product vectors, and any four of it would do."""
-    found.sort(key=_mu_sort_key)
+def _distinct_factors(found: list[tuple[np.ndarray, np.ndarray, complex]],
+                      bipartition: str) -> ProductVectors:
+    """The four (vector, factor, mu) of found as columns, sorted by
+    _mu_sort_key; DegeneratePencil when two of them share their
+    two-dimensional factor a: then the subspace holds a (x) span(b1, b2), a
+    continuum of product vectors, and any four of it would do."""
+    found.sort(key=lambda item: _mu_sort_key(item[2]))
     slot = f"factor{BIPARTITIONS.index(bipartition) + 1}"
     for i in range(4):
         for j in range(i + 1, 4):
-            gap = _ray_gap(getattr(found[i], slot), getattr(found[j], slot))
+            gap = _ray_gap(found[i][1], found[j][1])
             if gap < 1e-8:
                 raise DegeneratePencil(
                     f"product vectors {i + 1} and {j + 1} of bipartition {bipartition} share "
                     f"their {slot} (overlap gap {gap:.1e}): the subspace contains a "
                     "continuum of product vectors")
-    return found
+    vectors, factors, eigenvalues = zip(*found)
+    return ProductVectors(np.column_stack(vectors), np.column_stack(factors),
+                          np.array(eigenvalues))
 
 
-def _mu_sort_key(triple: ProductVectorTriple):
-    mu = triple.pencil_eigenvalue
-    if mu is None or not np.isfinite(mu):
+def _mu_sort_key(mu: complex):
+    if not np.isfinite(mu):
         return (1, 0.0, 0.0)
     return (0, abs(mu), float(np.angle(mu)))
 
@@ -182,27 +178,30 @@ def _shifted_pencil_eigs(a_mat: np.ndarray, b_mat: np.ndarray
 
 def _factored_eigenvectors(psi: np.ndarray, bipartition: str,
                            pencil: tuple[np.ndarray, np.ndarray] | None
-                           ) -> list[ProductVectorTriple]:
-    """The distinct images psi v of one pencil's eigenvectors v that factor
-    and lie in the subspace."""
+                           ) -> list[tuple[np.ndarray, np.ndarray, complex]]:
+    """(unit psi v, its two-dimensional factor, mu) for the distinct images
+    psi v of one pencil's eigenvectors v that factor and lie in the
+    subspace."""
     if pencil is None:
         return []
     w, vr = pencil[0][0], pencil[1][0]
     proj = psi @ psi.conj().T
-    found: list[ProductVectorTriple] = []
+    found = []
     for k in range(4):
-        triple = _factor_candidate(psi @ vr[:, k], bipartition, complex(w[k]))
-        if triple is None:
+        candidate = _factor_candidate(psi @ vr[:, k], bipartition)
+        if candidate is None:
             continue
-        if np.linalg.norm(proj @ triple.full - triple.full) > _SUBSPACE_TOL:
+        phi = candidate[0]
+        if np.linalg.norm(proj @ phi - phi) > _SUBSPACE_TOL:
             continue
-        if any(_same_ray(triple.full, other.full) for other in found):
+        if any(_same_ray(phi, other[0]) for other in found):
             continue
-        found.append(triple)
+        found.append((*candidate, complex(w[k])))
     return found
 
 
-def _solve_pencil(psi: np.ndarray, bipartition: str) -> list[ProductVectorTriple]:
+def _solve_pencil(psi: np.ndarray, bipartition: str
+                  ) -> list[tuple[np.ndarray, np.ndarray, complex]]:
     """Product vectors from the pencil of psi's half-row slices.
 
     eig(solve(b, a)) loses the finite eigenvalues when b is nearly singular,
@@ -220,9 +219,9 @@ def _solve_pencil(psi: np.ndarray, bipartition: str) -> list[ProductVectorTriple
     return found
 
 
-def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str
-                                ) -> list[ProductVectorTriple]:
-    """Product vectors of the given bipartition inside a 4-dim subspace.
+def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str) -> ProductVectors:
+    """The four product vectors of the given bipartition inside a 4-dim
+    subspace, with their two-dimensional factors and pencil eigenvalues.
 
     One deterministic pass: the generalized eigenvalue problem of the two
     half-row slices, and its shifted pencil when fewer than four
@@ -243,16 +242,20 @@ def product_vectors_in_subspace(basis: SubspaceBasis, bipartition: str
     return _distinct_factors(found, bipartition)
 
 
-def full_product_vectors_in_subspace(basis: SubspaceBasis) -> list[ProductVectorTriple]:
-    """The 2x2x2 product vectors in the subspace: the 1|23 product vectors
-    of the one pencil pass whose cofactor splits too. Generic subspaces
-    contain none. Raises DegeneratePencil where product_vectors_in_subspace
-    does for 1|23: a continuum a (x) span(b1, b2) holds full product
-    vectors, so an empty list would be wrong."""
-    candidates = product_vectors_in_subspace(basis, "1|23")
-    return [c for c in candidates
-            if c.factor1 is not None and c.factor2 is not None and c.factor3 is not None
-            and c.product_residual() < 1e-8]
+def full_product_vectors_in_subspace(basis: SubspaceBasis) -> list[np.ndarray]:
+    """The unit 2x2x2 product vectors in the subspace: the 1|23 product
+    vectors of the one pencil pass whose cofactor splits too, to a relative
+    residual below 1e-8. Generic subspaces contain none. Raises
+    DegeneratePencil where product_vectors_in_subspace does for 1|23: a
+    continuum a (x) span(b1, b2) holds full product vectors, so an empty
+    list would be wrong."""
+    found = []
+    for vec in product_vectors_in_subspace(basis, "1|23").vectors.T:
+        factors = factor_product_vector(vec)
+        if (factors is not None
+                and np.linalg.norm(vec - kron3(*factors)) / np.linalg.norm(vec) < 1e-8):
+            found.append(vec)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +359,9 @@ def orthogonal_form(sf: QuadrupleStandardForm) -> tuple[np.ndarray, np.ndarray]:
 # unextendible product bases
 # ---------------------------------------------------------------------------
 
-def upb_standard(theta1: float, theta2: float, theta3: float) -> list[ProductVectorTriple]:
-    """The four orthonormal product vectors of the angle-parametrized UPB.
+def upb_standard(theta1: float, theta2: float, theta3: float) -> np.ndarray:
+    """The four orthonormal product vectors of the angle-parametrized UPB,
+    as the columns of an 8x4 matrix.
 
     Each pair is orthogonal in exactly one slot: pairs (1,2) and (3,4) in the
     first factor, (1,3) and (2,4) in the second, (1,4) and (2,3) in the third.
@@ -368,19 +372,20 @@ def upb_standard(theta1: float, theta2: float, theta3: float) -> list[ProductVec
     c1, s1 = np.cos(theta1), np.sin(theta1)
     c2, s2 = np.cos(theta2), np.sin(theta2)
     c3, s3 = np.cos(theta3), np.sin(theta3)
-    x = np.array([[1, 0, c1, s1], [0, 1, -s1, c1]], dtype=float)
-    y = np.array([[1, c2, 0, s2], [0, -s2, 1, c2]], dtype=float)
-    z = np.array([[1, c3, s3, 0], [0, -s3, c3, 1]], dtype=float)
-    return [product_vector(x[:, i], y[:, i], z[:, i]) for i in range(4)]
+    x = np.array([[1, 0, c1, s1], [0, 1, -s1, c1]], dtype=complex)
+    y = np.array([[1, c2, 0, s2], [0, -s2, 1, c2]], dtype=complex)
+    z = np.array([[1, c3, s3, 0], [0, -s3, c3, 1]], dtype=complex)
+    return np.column_stack([kron3(x[:, i], y[:, i], z[:, i]) for i in range(4)])
 
 
-def upb_state(upb: list[ProductVectorTriple]) -> HermitianOperator:
-    """Normalized projector onto the orthogonal complement of the UPB span:
-    rho = (1 - sum psi_i psi_i^dag) / 4, a rank-4 extremal PPT state whose
-    range contains no product vector."""
-    if len(upb) != 4:
-        raise NotOrthonormal(f"a three-qubit UPB has four vectors, got {len(upb)}")
-    vecs = np.column_stack([np.asarray(tr.full, dtype=complex) for tr in upb])
+def upb_state(upb: np.ndarray) -> HermitianOperator:
+    """Normalized projector onto the orthogonal complement of the span of the
+    columns of an 8x4 UPB matrix: rho = (1 - sum psi_i psi_i^dag) / 4, a
+    rank-4 extremal PPT state whose range contains no product vector.
+    Raises NotOrthonormal unless the normalized columns are orthonormal."""
+    vecs = np.array(upb, dtype=complex)
+    if vecs.shape != (DIM, 4):
+        raise NotOrthonormal(f"a three-qubit UPB is an 8x4 matrix, got shape {vecs.shape}")
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     gram = vecs.conj().T @ vecs
     if np.abs(gram - np.eye(4)).max() > 1e-10:
@@ -392,6 +397,7 @@ def upb_state(upb: list[ProductVectorTriple]) -> HermitianOperator:
 
 __all__ = [
     "BIPARTITIONS",
+    "ProductVectors",
     "QuadrupleStandardForm",
     "SubspaceBasis",
     "alternative_parameters",

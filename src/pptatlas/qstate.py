@@ -16,7 +16,6 @@ from .config import DEFAULT, Tolerances
 from .errors import NotAState, SingularFactor
 
 DIM = 8
-N_QUBITS = 3
 
 # 2x2 Levi-Civita symbol; epsilon @ epsilon = -identity
 EPSILON = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -341,38 +340,6 @@ def random_ppt_state(rng: np.random.Generator) -> HermitianOperator:
 # product vectors
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProductVectorTriple:
-    """A vector in C^8 known to factor across at least one bipartition.
-
-    For a bipartite extraction the 2-dimensional factor sits in its slot
-    (factor1 for 1|23, factor2 for 2|13, factor3 for 3|12) and `cofactor`
-    holds the 4-dimensional complement; a fully factored vector has all three
-    factors set and bipartition "full".
-    """
-
-    full: np.ndarray
-    factor1: np.ndarray | None = None
-    factor2: np.ndarray | None = None
-    factor3: np.ndarray | None = None
-    bipartition: str = "full"
-    cofactor: np.ndarray | None = None
-    pencil_eigenvalue: complex | None = None
-
-    def product_residual(self) -> float:
-        """Relative distance between `full` and the product of its three factors."""
-        if self.factor1 is None or self.factor2 is None or self.factor3 is None:
-            raise ValueError("not all three factors are set")
-        rebuilt = kron3(self.factor1, self.factor2, self.factor3)
-        return float(np.linalg.norm(self.full - rebuilt) / np.linalg.norm(self.full))
-
-
-def product_vector(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> ProductVectorTriple:
-    x, y, z = (np.asarray(a, dtype=complex).reshape(2) for a in (x, y, z))
-    return ProductVectorTriple(full=kron3(x, y, z), factor1=x, factor2=y, factor3=z,
-                               bipartition="full")
-
-
 def rank1_split(vec: np.ndarray, left_dim: int, right_dim: int,
                 tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray] | None:
     """Factor vec as left (x) right if its (left_dim, right_dim) reshape is rank one."""
@@ -389,8 +356,10 @@ def rank1_split(vec: np.ndarray, left_dim: int, right_dim: int,
     return left, right
 
 
-def factor_product_vector(psi: np.ndarray, tol: float = 1e-8) -> ProductVectorTriple | None:
-    """Full 2x2x2 factorization of psi, or None if it is not a product vector."""
+def factor_product_vector(psi: np.ndarray, tol: float = 1e-8
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Factors (x, y, z) of psi = x (x) y (x) z, or None if psi is not a
+    product vector."""
     psi = np.asarray(psi, dtype=complex).reshape(DIM)
     first = rank1_split(psi, 2, 4, tol)
     if first is None:
@@ -399,9 +368,7 @@ def factor_product_vector(psi: np.ndarray, tol: float = 1e-8) -> ProductVectorTr
     second = rank1_split(rest, 2, 2, tol)
     if second is None:
         return None
-    y, z = second
-    return ProductVectorTriple(full=psi, factor1=x, factor2=y, factor3=z,
-                               bipartition="full", cofactor=rest)
+    return x, *second
 
 
 def projector(psi: np.ndarray) -> HermitianOperator:
@@ -417,7 +384,6 @@ __all__ = [
     "PPT_INTERIOR",
     "HermitianOperator",
     "PptProfile",
-    "ProductVectorTriple",
     "all_ptransposes",
     "factor_product_vector",
     "hermitian_basis",
@@ -429,7 +395,6 @@ __all__ = [
     "pauli_decompose",
     "ppt_profile",
     "product_transform",
-    "product_vector",
     "projector",
     "ptranspose_mat",
     "random_density",

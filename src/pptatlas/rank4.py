@@ -29,6 +29,7 @@ from .invariants import i2_vanishes, quadratic_invariant
 from .prodvec import (
     _ROW_SPLITS,
     BIPARTITIONS,
+    ProductVectors,
     SubspaceBasis,
     _pencil_eigs,
     product_vectors_in_subspace,
@@ -321,7 +322,7 @@ def _type1_state(u_scaled: np.ndarray, t1: float) -> np.ndarray:
     return rho / np.trace(rho)
 
 
-def _range_product_vectors(rho) -> tuple[HermitianOperator, dict[str, list]]:
+def _range_product_vectors(rho) -> tuple[HermitianOperator, dict[str, ProductVectors]]:
     """rho as a HermitianOperator, and the four product vectors of each
     bipartition in its range."""
     state = rho if isinstance(rho, HermitianOperator) else HermitianOperator(rho)
@@ -334,11 +335,7 @@ def quadruple_parameters(rho) -> tuple[complex, complex, complex]:
     """Standard-form parameters of the three 2-vector quadruples extracted
     from the range of a rank-4444 state (pencil ordering convention)."""
     _, products = _range_product_vectors(rho)
-    params = []
-    for slot, triples in enumerate(products.values(), start=1):
-        quad = np.column_stack([getattr(tr, f"factor{slot}") for tr in triples])
-        params.append(standard_form_quadruple(quad).t)
-    return tuple(params)
+    return tuple(standard_form_quadruple(found.factors).t for found in products.values())
 
 
 _TYPE1_MAX_DRAWS = 200
@@ -448,15 +445,6 @@ class BiseparableTriple:
     weights_f: np.ndarray
     weights_g: np.ndarray
 
-    def reconstructions(self) -> list[np.ndarray]:
-        return [_weighted_projector_sum(self.e, self.weights_e),
-                _weighted_projector_sum(self.f, self.weights_f),
-                _weighted_projector_sum(self.g, self.weights_g)]
-
-    def max_disagreement(self) -> float:
-        builds = self.reconstructions()
-        return max(float(np.abs(builds[0] - b).max()) for b in builds[1:])
-
 
 def biseparable_triple(rho, rng=None) -> BiseparableTriple:
     """Extract the three biseparable decompositions of a rank-4444 PPT state.
@@ -470,8 +458,8 @@ def biseparable_triple(rho, rng=None) -> BiseparableTriple:
     state, products = _range_product_vectors(rho)
     target = mat_to_coords(state.mat)
     mats, weights = [], []
-    for bipartition, triples in products.items():
-        cols = np.column_stack([tr.full / np.linalg.norm(tr.full) for tr in triples])
+    for bipartition, found in products.items():
+        cols = np.column_stack([v / np.linalg.norm(v) for v in found.vectors.T])
         coords = _projector_coords(cols)
         w, residual, *_ = np.linalg.lstsq(coords.T, target, rcond=None)
         rebuilt = coords.T @ w
@@ -609,8 +597,14 @@ class _Point(NamedTuple):
         return self.frame.psi, self.logw, *self.frame.vecs
 
 
-class _CompatibilityResidual:
-    """Residual whose zeros are subspaces carrying a rank-4 positive
+def _evaluate(theta: np.ndarray, reference: np.ndarray | None) -> _Point | None:
+    """The compatibility residual at theta (68,), or None when the point is
+    degenerate: a degenerate pencil, a column norm below 1e-10, or a
+    singular projector Gram matrix. The pencil columns follow those of
+    reference (3, 8, 4), the unit pencil columns of an earlier point, when
+    one is given.
+
+    The residual's zeros are subspaces carrying a rank-4 positive
     combination of the 1|23 product basis that is simultaneously a
     combination of the product bases of the other two bipartitions.
 
@@ -631,46 +625,24 @@ class _CompatibilityResidual:
     P an orthonormal basis of span(psi)^perp and Z complex 4x4, and the four
     log-weights. All four stay: the weight scaling M's normalization ignores
     is a common shift of theta[64:] only where the tanh cap acts equally.
-
-    _evaluate evaluates one theta (68,); accept recomputes only the candidate
-    half of an evaluation (_Point, by _weigh). The instance holds only the
-    column-matching reference.
+    _weigh recomputes only the candidate half of a point.
     """
-
-    def __init__(self):
-        # matched pencil columns (3, 8, 4) of the last reference point
-        self.reference: np.ndarray | None = None
-
-    def accept(self, point: _Point, theta: np.ndarray) -> _Point:
-        """The point at theta (68,), point with other log-weights, whose columns
-        become the reference; not degenerate, for its frame half is point's."""
-        self.reference = point.frame.vecs
-        return _weigh(point.frame, theta)
-
-    def _evaluate(self, theta: np.ndarray, update_reference: bool) -> _Point | None:
-        """The point at theta (68,), or None when it is degenerate: a
-        degenerate pencil, a column norm below 1e-10, or a singular projector
-        Gram matrix. update_reference takes its columns as the reference for
-        column matching."""
-        psi, upper = np.linalg.qr((theta[:32] + 1j * theta[32:64]).reshape(DIM, 4))
-        pencils = _pencil_eigs(psi[_TOP_ROWS], psi[_BOTTOM_ROWS])
-        if pencils is None:
-            return None
-        eigvals, eigvecs = pencils
-        phis = psi @ eigvecs
-        norms = np.linalg.norm(phis, axis=-2)
-        if norms.min() < 1e-10:
-            return None
-        vecs = phis / norms[:, None, :]
-        if self.reference is not None:
-            vecs, norms, eigvals, eigvecs = _matched_columns(vecs, norms, eigvals, eigvecs,
-                                                             self.reference)
-        if update_reference:
-            self.reference = vecs
-        overlap = _adjoint(vecs) @ vecs
-        det = np.maximum(np.linalg.det(overlap).real, 1e-300)
-        gram = 0.5 * np.maximum(0.0, _GRAM_LOG_FLOOR - np.log10(det))
-        return _weigh(_Frame(psi, upper, eigvals, eigvecs, norms, vecs, overlap, gram), theta)
+    psi, upper = np.linalg.qr((theta[:32] + 1j * theta[32:64]).reshape(DIM, 4))
+    pencils = _pencil_eigs(psi[_TOP_ROWS], psi[_BOTTOM_ROWS])
+    if pencils is None:
+        return None
+    eigvals, eigvecs = pencils
+    phis = psi @ eigvecs
+    norms = np.linalg.norm(phis, axis=-2)
+    if norms.min() < 1e-10:
+        return None
+    vecs = phis / norms[:, None, :]
+    if reference is not None:
+        vecs, norms, eigvals, eigvecs = _matched_columns(vecs, norms, eigvals, eigvecs, reference)
+    overlap = _adjoint(vecs) @ vecs
+    det = np.maximum(np.linalg.det(overlap).real, 1e-300)
+    gram = 0.5 * np.maximum(0.0, _GRAM_LOG_FLOOR - np.log10(det))
+    return _weigh(_Frame(psi, upper, eigvals, eigvecs, norms, vecs, overlap, gram), theta)
 
 
 def _weigh(frame: _Frame, theta: np.ndarray) -> _Point | None:
@@ -847,8 +819,9 @@ def compatible_subspace_search(rng: np.random.Generator,
     Each iteration differentiates the current point along 36 directions
     (_jacobian), solves the 36x36 damped normal
     equations and maps the step back to the 68 raw parameters. Trials are
-    single-point evaluations; recentring an accepted trial's log-weights
-    reuses its frame half (accept). No Jacobian is taken where no step
+    single-point evaluations whose pencil columns follow those of the last
+    point reached; recentring an accepted trial's log-weights reuses its
+    frame half (_weigh). No Jacobian is taken where no step
     follows. A restart ends when f falls below _SEARCH_F_TARGET, when it has
     stalled (from iteration 10 on, f fell by less than a factor of 2 over the
     last 4 iterations; checked before the Jacobian), at the iteration cap,
@@ -860,15 +833,15 @@ def compatible_subspace_search(rng: np.random.Generator,
     jacobians = evaluations = 0
     ends = dict.fromkeys(_RESTART_ENDS, 0)
     for restart in range(_SEARCH_RESTARTS):
-        residual = _CompatibilityResidual()
         raw = (rng.standard_normal(64) if start_frame is None or restart
                else np.concatenate([start_frame.real.ravel(), start_frame.imag.ravel()]))
         theta = np.concatenate([raw, np.zeros(4)])
-        point = residual._evaluate(theta, True)
+        point = _evaluate(theta, None)
         evaluations += 1
         if point is None:
             ends["degenerate_start"] += 1
             continue
+        reference = point.frame.vecs
         f = float(point.residuals @ point.residuals)
         history = [f]
         damping = 1e-6
@@ -894,12 +867,13 @@ def compatible_subspace_search(rng: np.random.Generator,
                     damping *= 10.0
                     continue
                 trial_theta = theta + step @ basis
-                trial = residual._evaluate(trial_theta, False)
+                trial = _evaluate(trial_theta, reference)
                 evaluations += 1
                 if trial is not None and float(trial.residuals @ trial.residuals) < f:
                     theta = trial_theta
                     theta[64:] -= theta[64:].mean()
-                    point = residual.accept(trial, theta)
+                    reference = trial.frame.vecs
+                    point = _weigh(trial.frame, theta)
                     f = float(point.residuals @ point.residuals)
                     history.append(f)
                     damping = max(damping / 5.0, 1e-10)

@@ -58,10 +58,6 @@ class RankTargetProblem:
             raise ValueError(f"targets must be four ranks in 1..8, got {targets}")
         self.targets = targets
 
-    @property
-    def n_equations(self) -> int:
-        return 4 * DIM - sum(self.targets)
-
 
 def eigen_residual(problem: RankTargetProblem, x: np.ndarray) -> np.ndarray:
     """The 8-m_i lowest eigenvalues of each partial transpose, concatenated."""

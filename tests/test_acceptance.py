@@ -245,8 +245,8 @@ def test_criterion_07_upb_suite():
         for bipartition in pv.BIPARTITIONS:
             found = pv.product_vectors_in_subspace(kernel, bipartition)
             hits = sum(
-                any(1 - abs(np.vdot(tr.full, u.full)) < 1e-8 for u in upb)
-                for tr in found)
+                any(1 - abs(np.vdot(vec, u)) < 1e-8 for u in upb.T)
+                for vec in found.vectors.T)
             recovered = recovered and hits == 4
         product_free = pv.full_product_vectors_in_subspace(
             pv.SubspaceBasis.range_of(state)) == []

@@ -201,10 +201,6 @@ class TestRankSquareBound:
         assert ex.rank_square_bound([5, 6, 8, 8]) == (193, 189, True)
         assert ex.rank_square_bound([1, 1, 1, 1]) == (193, 4, True)
 
-    def test_general_formula(self):
-        bound = ex.rank_square_bound([3, 3], n_parties=2, total_dim=9)
-        assert bound.bound == 82
-
     def test_bad_arity(self):
         with pytest.raises(BadArity):
             ex.rank_square_bound([4, 4, 4])

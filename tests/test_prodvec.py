@@ -14,52 +14,68 @@ def same_ray(a, b, tol=1e-8):
     return 1.0 - abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)) < tol
 
 
+def _generic_basis(rng):
+    return pv.SubspaceBasis.from_columns(np.column_stack([random_unit(rng, 8) for _ in range(4)]))
+
+
 class TestPencilExtraction:
     def test_product_span_recovered_in_every_bipartition(self, rng):
         products = [random_product_vector(rng) for _ in range(4)]
         basis = pv.SubspaceBasis.from_columns(np.column_stack(products))
         for bipartition in pv.BIPARTITIONS:
             found = pv.product_vectors_in_subspace(basis, bipartition)
-            assert len(found) == 4
-            for triple in found:
-                assert any(same_ray(triple.full, p) for p in products)
+            assert found.vectors.shape == (8, 4)
+            for vec in found.vectors.T:
+                assert any(same_ray(vec, p) for p in products)
 
     def test_generic_subspace_four_per_bipartition(self, rng):
-        basis = pv.SubspaceBasis.from_columns(
-            np.column_stack([random_unit(rng, 8) for _ in range(4)]))
+        basis = _generic_basis(rng)
         collected = {}
         for bipartition in pv.BIPARTITIONS:
             found = pv.product_vectors_in_subspace(basis, bipartition)
-            assert len(found) == 4
-            for triple in found:
-                # in-subspace residual
-                proj = basis.projector()
-                assert np.linalg.norm(proj @ triple.full - triple.full) < 1e-9
-            collected[bipartition] = found
+            assert found.vectors.shape == (8, 4)
+            assert found.factors.shape == (2, 4)
+            assert found.eigenvalues.shape == (4,)
+            collected[bipartition] = found.vectors
         # twelve vectors in total and no shared ray across bipartitions
-        for a in collected["1|23"]:
-            for b in collected["2|13"]:
-                assert not same_ray(a.full, b.full)
+        for a in collected["1|23"].T:
+            for b in collected["2|13"].T:
+                assert not same_ray(a, b)
 
     def test_generic_subspace_has_no_full_product(self, rng):
+        assert pv.full_product_vectors_in_subspace(_generic_basis(rng)) == []
+
+    def test_one_full_product_is_found(self, rng):
+        """A subspace spanned by one product vector and three random vectors
+        holds that product's ray and no other full product vector."""
+        product = random_product_vector(rng)
         basis = pv.SubspaceBasis.from_columns(
-            np.column_stack([random_unit(rng, 8) for _ in range(4)]))
-        assert pv.full_product_vectors_in_subspace(basis) == []
+            np.column_stack([product] + [random_unit(rng, 8) for _ in range(3)]))
+        found = pv.full_product_vectors_in_subspace(basis)
+        assert len(found) == 1
+        assert found[0].shape == (8,)
+        assert abs(np.linalg.norm(found[0]) - 1.0) < 1e-12
+        assert same_ray(found[0], product)
 
     def test_pencil_eigenvalue_is_factor_ratio(self, rng):
-        basis = pv.SubspaceBasis.from_columns(
-            np.column_stack([random_unit(rng, 8) for _ in range(4)]))
-        for triple in pv.product_vectors_in_subspace(basis, "1|23"):
-            mu = triple.pencil_eigenvalue
-            x = triple.factor1
+        found = pv.product_vectors_in_subspace(_generic_basis(rng), "1|23")
+        for mu, x in zip(found.eigenvalues, found.factors.T):
             assert abs(mu - x[0] / x[1]) < 1e-8 * max(1.0, abs(mu))
 
-    def test_cofactor_reconstructs_vector(self, rng):
-        basis = pv.SubspaceBasis.from_columns(
-            np.column_stack([random_unit(rng, 8) for _ in range(4)]))
-        for triple in pv.product_vectors_in_subspace(basis, "2|13"):
-            rebuilt = qs.split_product(triple.factor2, triple.cofactor)
-            assert np.linalg.norm(rebuilt - triple.full) < 1e-9
+    def test_columns_are_split_products_of_their_factors(self, rng):
+        """Each column is a unit vector in the subspace and equals its factor
+        column in the bipartition's slot times the cofactor <x| v / |x|^2."""
+        basis = _generic_basis(rng)
+        proj = basis.psi @ basis.psi.conj().T
+        for slot, bipartition in enumerate(pv.BIPARTITIONS):
+            found = pv.product_vectors_in_subspace(basis, bipartition)
+            for vec, x in zip(found.vectors.T, found.factors.T):
+                assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+                assert np.linalg.norm(proj @ vec - vec) < 1e-9
+                cofactor = np.tensordot(x.conj(), vec.reshape(2, 2, 2), axes=(0, slot))
+                cofactor /= np.vdot(x, x).real
+                rebuilt = np.moveaxis(np.multiply.outer(x, cofactor), 0, slot).ravel()
+                assert np.linalg.norm(rebuilt - vec) < 1e-9
 
     def test_continuum_of_shared_factor_raises(self):
         """|0> (x) C^4 holds |0> (x) psi for every psi: for 1|23 the pencil has
@@ -79,12 +95,11 @@ class TestPencilExtraction:
             pv.full_product_vectors_in_subspace(basis)
 
     def test_ordering_deterministic(self, rng):
-        basis = pv.SubspaceBasis.from_columns(
-            np.column_stack([random_unit(rng, 8) for _ in range(4)]))
+        basis = _generic_basis(rng)
         first = pv.product_vectors_in_subspace(basis, "1|23")
         second = pv.product_vectors_in_subspace(basis, "1|23")
         for a, b in zip(first, second):
-            assert np.array_equal(a.full, b.full)
+            assert np.array_equal(a, b)
 
 
 def _assert_matches_qz(a_mat, b_mat, w, vr):
@@ -131,15 +146,15 @@ class TestPencilSolver:
             psi = psi @ np.linalg.qr(rng.standard_normal((4, 4))
                                      + 1j * rng.standard_normal((4, 4)))[0]
         found = pv.product_vectors_in_subspace(pv.SubspaceBasis(psi), "1|23")
-        assert len(found) == 4
-        assert same_ray(found[-1].full, product)
-        mu = found[-1].pencil_eigenvalue
+        assert found.vectors.shape == (8, 4)
+        assert same_ray(found.vectors[:, -1], product)
+        mu = found.eigenvalues[-1]
         assert not np.isfinite(mu) or abs(mu) > 1e12
-        assert [pv._mu_sort_key(t) for t in found] == sorted(pv._mu_sort_key(t) for t in found)
+        keys = [pv._mu_sort_key(mu) for mu in found.eigenvalues]
+        assert keys == sorted(keys)
         top, bottom = pv._ROW_SPLITS["1|23"]
-        w = np.array([t.pencil_eigenvalue for t in found])
-        vr = np.linalg.lstsq(psi, np.column_stack([t.full for t in found]), rcond=None)[0]
-        _assert_matches_qz(psi[top], psi[bottom], w, vr)
+        vr = np.linalg.lstsq(psi, found.vectors, rcond=None)[0]
+        _assert_matches_qz(psi[top], psi[bottom], found.eigenvalues, vr)
 
     def test_singular_member_of_a_stack(self, rng):
         """One singular member makes the stacked solve raise: the others keep
@@ -219,20 +234,18 @@ class TestUpb:
     def test_orthonormal_for_any_angles(self, rng):
         for _ in range(5):
             angles = rng.uniform(0.2, 1.3, size=3)
-            upb = pv.upb_standard(*angles)
-            vecs = np.column_stack([u.full for u in upb])
+            vecs = pv.upb_standard(*angles)
+            assert vecs.shape == (8, 4)
             assert np.abs(vecs.conj().T @ vecs - np.eye(4)).max() < 1e-12
 
     def test_slot_orthogonality_pattern(self):
         """Each pair is orthogonal in exactly one slot: (1,2),(3,4) in the
         first, (1,3),(2,4) in the second, (1,4),(2,3) in the third."""
         upb = pv.upb_standard(np.pi / 4, np.pi / 5, np.pi / 3)
+        factors = [qs.factor_product_vector(vec) for vec in upb.T]
         expected = {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}
         for (i, j), slot in expected.items():
-            for s, (fa, fb) in enumerate(
-                    [(upb[i].factor1, upb[j].factor1),
-                     (upb[i].factor2, upb[j].factor2),
-                     (upb[i].factor3, upb[j].factor3)], start=1):
+            for s, (fa, fb) in enumerate(zip(factors[i], factors[j]), start=1):
                 inner = abs(np.vdot(fa, fb))
                 if s == slot:
                     assert inner < 1e-12
@@ -262,19 +275,19 @@ class TestUpb:
         kernel = pv.SubspaceBasis.kernel_of(state)
         for bipartition in pv.BIPARTITIONS:
             found = pv.product_vectors_in_subspace(kernel, bipartition)
-            assert len(found) == 4
-            for triple in found:
-                assert any(same_ray(triple.full, u.full) for u in upb)
+            for vec in found.vectors.T:
+                assert any(same_ray(vec, u) for u in upb.T)
 
     def test_range_contains_no_product_vector(self):
         state = pv.upb_state(pv.upb_standard(np.pi / 4, np.pi / 5, np.pi / 3))
         assert pv.full_product_vectors_in_subspace(pv.SubspaceBasis.range_of(state)) == []
 
     def test_rejects_non_orthonormal_input(self, rng):
-        vectors = [qs.product_vector(random_unit(rng, 2), random_unit(rng, 2),
-                                     random_unit(rng, 2)) for _ in range(4)]
-        with pytest.raises(NotOrthonormal):
+        vectors = np.column_stack([random_product_vector(rng) for _ in range(4)])
+        with pytest.raises(NotOrthonormal, match="not orthonormal"):
             pv.upb_state(vectors)
+        with pytest.raises(NotOrthonormal, match=r"8x4 matrix, got shape \(8, 3\)"):
+            pv.upb_state(pv.upb_standard(0.7, 0.9, 1.1)[:, :3])
 
     def test_unitary_transform_keeps_kernel_products_orthogonal(self):
         """Conjugating by a unitary product keeps the kernel spanned by
@@ -285,8 +298,6 @@ class TestUpb:
         factors = [unitary_group.rvs(2, random_state=40 + k) for k in range(3)]
         moved = qs.product_transform(state, *factors)
         kernel = pv.SubspaceBasis.kernel_of(moved)
-        found = pv.product_vectors_in_subspace(kernel, "1|23")
-        vecs = np.column_stack([tr.full for tr in found])
+        vecs = pv.product_vectors_in_subspace(kernel, "1|23").vectors
         assert np.abs(vecs.conj().T @ vecs - np.eye(4)).max() < 1e-8
-        for tr in found:
-            assert tr.factor2 is not None and tr.factor3 is not None
+        assert len(pv.full_product_vectors_in_subspace(kernel)) == 4

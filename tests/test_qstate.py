@@ -365,9 +365,10 @@ class TestHermitianOperator:
 
 class TestProductVectors:
     def test_factor_product_vector(self, rng):
-        triple = qs.factor_product_vector(random_product_vector(rng))
-        assert triple is not None
-        assert triple.product_residual() < 1e-10
+        psi = random_product_vector(rng)
+        factors = qs.factor_product_vector(psi)
+        assert factors is not None
+        assert np.linalg.norm(qs.kron3(*factors) - psi) < 1e-10
 
     def test_non_product_returns_none(self):
         assert qs.factor_product_vector(ghz_vector()) is None

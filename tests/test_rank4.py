@@ -189,25 +189,24 @@ def _search_point(seed):
 class TestCompatibilityResidual:
     def test_rows_match_reference(self):
         theta = _search_point(7)
-        residual = r4._CompatibilityResidual()
         reference = _ReferenceResidual()
-        point = residual._evaluate(theta, True)
+        point = r4._evaluate(theta, None)
         assert point.residuals.shape == (132,)
         assert np.abs(point.residuals - reference(theta, update_reference=True)).max() < 1e-13
         for block, bp in zip(point.payload[2:], pv.BIPARTITIONS):
             assert np.abs(block - reference.reference[bp]).max() < 1e-13
         for probe in theta + _STEP * np.eye(68):
-            rows = residual._evaluate(probe, False).residuals
+            rows = r4._evaluate(probe, point.frame.vecs).residuals
             assert np.abs(rows - reference(probe)).max() < 1e-13
 
     def test_nan_frame_is_degenerate(self):
         theta = _search_point(9)
-        residual = r4._CompatibilityResidual()
-        assert residual._evaluate(theta, True) is not None
+        point = r4._evaluate(theta, None)
+        assert point is not None
         # a non-finite frame: its pencils have no finite eigenvectors
         theta[3] = np.nan
         assert _ReferenceResidual()(theta) is None
-        assert residual._evaluate(theta, False) is None
+        assert r4._evaluate(theta, point.frame.vecs) is None
 
     def test_singular_member_falls_back_alone(self):
         """A frame whose 1|23 pencil has a singular bottom block makes the
@@ -219,12 +218,11 @@ class TestCompatibilityResidual:
         frame = (theta[:32] + 1j * theta[32:64]).reshape(8, 4)
         frame[4:, 0] = 0.0          # first column lies in |0> x C^4
         singular = np.concatenate([frame.real.ravel(), frame.imag.ravel(), theta[64:]])
-        residual = r4._CompatibilityResidual()
-        residual._evaluate(theta, True)
+        matched = r4._evaluate(theta, None).frame.vecs
         reference = _ReferenceResidual()
         reference(theta, update_reference=True)
         for probe in (theta, singular, theta + 1e-3):
-            rows = residual._evaluate(probe, False).residuals
+            rows = r4._evaluate(probe, matched).residuals
             assert np.abs(rows - reference(probe)).max() < 1e-13
 
 
@@ -246,9 +244,9 @@ def _vertical_directions(theta):
     return np.array(rows)
 
 
-def _linearize(residual, theta):
-    """(point, J, basis) at theta, whose columns become the reference."""
-    point = residual._evaluate(theta, True)
+def _linearize(theta, reference=None):
+    """(point, J, basis) at theta, its columns matched to reference."""
+    point = r4._evaluate(theta, reference)
     return (point, *r4._jacobian(point))
 
 
@@ -299,7 +297,7 @@ class TestCompatibilityJacobian:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_central_differences(self, seed):
         theta = _search_point(100 + seed)
-        _assert_jacobian_matches(theta, *_linearize(r4._CompatibilityResidual(), theta))
+        _assert_jacobian_matches(theta, *_linearize(theta))
 
     def test_matches_central_differences_with_rank_barrier_active(self):
         """At points the search differentiates the rank barrier is often
@@ -326,23 +324,22 @@ class TestCompatibilityJacobian:
         # makes all three barriers active
         monkeypatch.setattr(r4, "_GRAM_LOG_FLOOR", 0.0)
         theta = _search_point(110)
-        point, jac, basis = _linearize(r4._CompatibilityResidual(), theta)
+        point, jac, basis = _linearize(theta)
         assert np.all(point.residuals[128:131] > 0)
         _assert_jacobian_matches(theta, point, jac, basis)
 
     def test_repeated_pencil_eigenvalue_refuses_the_jacobian(self):
         theta = _repeated_eigenvalue_frame(4)
-        residual = r4._CompatibilityResidual()
-        point = residual._evaluate(theta, True)
+        point = r4._evaluate(theta, None)
         assert np.all(np.isfinite(point.residuals))
         with pytest.raises(np.linalg.LinAlgError, match="pencil eigenvalue gap"):
             r4._jacobian(point)
         # a step away the gap is open again
-        _linearize(residual, theta + 1e-3 * _search_point(5))
+        _linearize(theta + 1e-3 * _search_point(5), point.frame.vecs)
 
     def test_refused_jacobian_ends_the_restart(self, monkeypatch):
         frame = _repeated_eigenvalue_frame(4)
-        rows = r4._CompatibilityResidual()._evaluate(frame, False).residuals
+        rows = r4._evaluate(frame, None).residuals
         start = (frame[:32] + 1j * frame[32:64]).reshape(8, 4)
         monkeypatch.setattr(r4, "_SEARCH_RESTARTS", 1)
         search = r4.compatible_subspace_search(np.random.default_rng(0), start_frame=start)
@@ -362,26 +359,23 @@ class TestCompatibilityJacobian:
             return solve(a, b)
 
         theta = _search_point(12)
-        residual = r4._CompatibilityResidual()
         monkeypatch.setattr(np.linalg, "solve", singular_gram)
-        assert residual._evaluate(theta, True) is None
+        assert r4._evaluate(theta, None) is None
 
     def test_accept_equals_a_fresh_evaluation(self):
-        """Recentring the log-weights of an evaluated trial reuses its frame
-        half: the point, its payload and the new reference equal those of a
-        full evaluation at the recentred parameters, bit for bit."""
+        """Accepting a trial recentres its log-weights by _weigh on its frame
+        half: the point and its payload, whose pencil columns become the next
+        reference, equal those of a full evaluation at the recentred
+        parameters, bit for bit."""
         theta = _search_point(13)
-        fresh, reused = (r4._CompatibilityResidual() for _ in range(2))
-        for residual in (fresh, reused):
-            residual._evaluate(theta, True)
+        reference = r4._evaluate(theta, None).frame.vecs
         trial = theta + 1e-2 * _search_point(14)
         moved = trial.copy()
         moved[64:] -= moved[64:].mean()
-        expected = fresh._evaluate(moved, True)
-        got = reused.accept(reused._evaluate(trial, False), moved)
+        expected = r4._evaluate(moved, reference)
+        got = r4._weigh(r4._evaluate(trial, reference).frame, moved)
         assert np.array_equal(got.residuals, expected.residuals)
         assert all(np.array_equal(a, b) for a, b in zip(got.payload, expected.payload))
-        assert np.array_equal(reused.reference, fresh.reference)
 
 
 def _reference_matching_order(new, ref):
@@ -452,47 +446,51 @@ class TestSpanInvariance:
         g = np.array(entries[:16]).reshape(4, 4) + 1j * np.array(entries[16:]).reshape(4, 4)
         assume(np.linalg.cond(g) < 30)
         theta = _search_point(seed)
-        residual = r4._CompatibilityResidual()
-        rows = residual._evaluate(theta, True).residuals
+        point = r4._evaluate(theta, None)
         frame = (theta[:32] + 1j * theta[32:64]).reshape(8, 4) @ g
         moved = np.concatenate([frame.real.ravel(), frame.imag.ravel(), theta[64:]])
-        assert np.abs(residual._evaluate(moved, False).residuals - rows).max() < 1e-10
+        rows = r4._evaluate(moved, point.frame.vecs).residuals
+        assert np.abs(rows - point.residuals).max() < 1e-10
 
 
 def _spied_search(seed: int, stall_from: int = r4._STALL_FROM):
     """compatible_subspace_search(default_rng(seed)) with the stall rule
-    starting at iteration stall_from, and its evaluate, accept and jacobian
-    calls as (kind, theta, point) events, one list per restart."""
-    events = []
-    cls = r4._CompatibilityResidual
-    evaluate, accept, jacobian = cls._evaluate, cls.accept, r4._jacobian
+    starting at iteration stall_from, and its evaluate, accept (the _weigh
+    that recentres an accepted trial) and jacobian calls as (kind, theta,
+    point) events, one list per restart: a restart begins with the
+    evaluation that has no reference."""
+    restarts = []
+    evaluate, weigh, jacobian = r4._evaluate, r4._weigh, r4._jacobian
+    evaluating = []
 
-    def spy_evaluate(self, theta, update_reference):
-        point = evaluate(self, theta, update_reference)
-        events.append((self, "evaluate", theta.copy(), point))
+    def spy_evaluate(theta, reference):
+        if reference is None:
+            restarts.append([])
+        evaluating.append(theta)
+        try:
+            point = evaluate(theta, reference)
+        finally:
+            evaluating.pop()
+        restarts[-1].append(("evaluate", theta.copy(), point))
         return point
 
-    def spy_accept(self, point, theta):
-        moved = accept(self, point, theta)
-        events.append((self, "accept", theta.copy(), moved))
-        return moved
+    def spy_weigh(frame, theta):
+        point = weigh(frame, theta)
+        if not evaluating:
+            restarts[-1].append(("accept", theta.copy(), point))
+        return point
 
     def spy_jacobian(point):
-        # the residual whose evaluation or accept produced the point
-        owner = next(o for o, _, _, p in reversed(events) if p is point)
-        events.append((owner, "jacobian", None, point))
+        restarts[-1].append(("jacobian", None, point))
         return jacobian(point)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cls, "_evaluate", spy_evaluate)
-        mp.setattr(cls, "accept", spy_accept)
+        mp.setattr(r4, "_evaluate", spy_evaluate)
+        mp.setattr(r4, "_weigh", spy_weigh)
         mp.setattr(r4, "_jacobian", spy_jacobian)
         mp.setattr(r4, "_STALL_FROM", stall_from)
         search = r4.compatible_subspace_search(np.random.default_rng(seed))
-    restarts = {}
-    for owner, *event in events:
-        restarts.setdefault(id(owner), []).append(event)
-    return search, list(restarts.values()), events
+    return search, restarts, [event for restart in restarts for event in restart]
 
 
 def _reached(restart):
@@ -549,8 +547,8 @@ class TestCompatibilitySearchCalls:
         assert sorted(ends) == ["converged", "stalled"]
         assert search.restart_ends == dict(dict.fromkeys(r4._RESTART_ENDS, 0),
                                            converged=1, stalled=1)
-        assert search.jacobians == sum(kind == "jacobian" for _, kind, *_ in events)
-        assert search.evaluations == sum(kind == "evaluate" for _, kind, *_ in events)
+        assert search.jacobians == sum(kind == "jacobian" for kind, *_ in events)
+        assert search.evaluations == sum(kind == "evaluate" for kind, *_ in events)
 
     def test_stall_rule_cuts_a_capped_restart_before_the_cap(self):
         """Without the stall rule, seed 0's first restart runs all 30
@@ -832,6 +830,13 @@ class TestIsotropicSubspace:
         assert worst < 1e-10
 
 
+def _reconstructions(triple):
+    """The state rebuilt from each of the triple's three decompositions."""
+    return [r4._weighted_projector_sum(cols, weights)
+            for cols, weights in ((triple.e, triple.weights_e), (triple.f, triple.weights_f),
+                                  (triple.g, triple.weights_g))]
+
+
 class TestBiseparableTriple:
     def test_type2_state_triple(self, rng):
         state, _ = r4.construct_type2(0.7 + 0.3j)
@@ -839,9 +844,9 @@ class TestBiseparableTriple:
         assert triple.weights_e.min() > 0
         assert triple.weights_f.min() > 0
         assert triple.weights_g.min() > 0
-        assert triple.max_disagreement() < 1e-8
-        rebuilt = triple.reconstructions()[0]
-        assert np.abs(rebuilt - state.mat).max() < 1e-8
+        builds = _reconstructions(triple)
+        assert max(np.abs(builds[0] - b).max() for b in builds[1:]) < 1e-8
+        assert np.abs(builds[0] - state.mat).max() < 1e-8
 
     def test_spans_agree(self, rng):
         state, _ = r4.construct_type1(rng)
@@ -863,7 +868,8 @@ class TestConstructBiseparable:
         assert profile.is_ppt
         assert ex.is_extremal(state)
         assert max(result.singular_values) < 1e-9
-        assert triple.max_disagreement() < 1e-8
+        builds = _reconstructions(triple)
+        assert max(np.abs(builds[0] - b).max() for b in builds[1:]) < 1e-8
         assert result.classification in ("I", "II")
         probe = ex.separability_probe(state, np.random.default_rng(0))
         assert probe.verdict == "inconclusive" and not probe.endpoints
@@ -952,9 +958,7 @@ class TestConstructBiseparable:
             rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
         cols = {}
         for bipartition in pv.BIPARTITIONS:
-            found = pv.product_vectors_in_subspace(basis, bipartition)
-            cols[bipartition] = np.column_stack(
-                [tr.full / np.linalg.norm(tr.full) for tr in found])
+            cols[bipartition] = pv.product_vectors_in_subspace(basis, bipartition).vectors
         triple = BiseparableTriple(cols["1|23"], cols["2|13"], cols["3|12"],
                                    np.ones(4), np.ones(4), np.ones(4))
         s1, s2 = _dependence_singular_values(triple)

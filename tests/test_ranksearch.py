@@ -8,15 +8,15 @@ from conftest import block_jacobian_diagonal, lowest_eigenvalue_gap
 
 
 class TestProblemSetup:
-    def test_equation_count_formula(self):
-        assert rs.RankTargetProblem((8, 8, 8, 8)).n_equations == 0
-        assert rs.RankTargetProblem((4, 4, 4, 4)).n_equations == 16
-        assert rs.RankTargetProblem((5, 5, 5, 5)).n_equations == 12
+    def test_equation_count_formula(self, rng):
+        x = rs._random_start(rng)
+        for targets, count in (((8, 8, 8, 8), 0), ((4, 4, 4, 4), 16), ((5, 5, 5, 5), 12)):
+            assert rs.eigen_residual(rs.RankTargetProblem(targets), x).size == count
 
     def test_residual_length(self, rng):
         problem = rs.RankTargetProblem((6, 6, 6, 7))
         x = rs._random_start(rng)
-        assert rs.eigen_residual(problem, x).size == problem.n_equations
+        assert rs.eigen_residual(problem, x).size == 4 * 8 - sum(problem.targets)
 
     def test_empty_residual_for_full_ranks(self, rng):
         problem = rs.RankTargetProblem((8, 8, 8, 8))
