@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .extremal import (
 )
 from .invariants import InvariantFingerprint, fingerprint
 from .prodvec import upb_standard, upb_state
-from .qstate import PPT_INTERIOR, HermitianOperator, PptProfile, random_ppt_state
+from .qstate import DIM, PPT_INTERIOR, HermitianOperator, PptProfile, random_ppt_state
 from .rank4 import construct_type1, construct_type2
 from .ranksearch import RankTargetProblem, solve_targets
 
@@ -67,9 +67,30 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 def _matrix_from_json(data) -> np.ndarray:
     mat = np.array([[complex(re, im) for re, im in row] for row in data])
+    if mat.shape != (DIM, DIM):
+        raise ValueError(f"matrix has shape {mat.shape}, not ({DIM}, {DIM})")
     if not np.isfinite(mat).all():
         raise ValueError("matrix has a non-finite entry")
     return mat
+
+
+def _dataclass_from_json(cls, data):
+    """cls from the JSON object of dataclasses.asdict: lists become tuples,
+    and a missing field takes its default."""
+    values = {}
+    for f in fields(cls):
+        if f.name in data or f.default is MISSING:
+            value = data[f.name]
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+    return cls(**values)
+
+
+def _profile_from_json(data) -> PptProfile:
+    profile = _dataclass_from_json(PptProfile, data)
+    if len(profile.ranks) != 4 or not all(
+            type(m) is int and 1 <= m <= DIM for m in profile.ranks):
+        raise ValueError(f"ranks {profile.ranks!r} are not four integers in 1..{DIM}")
+    return profile
 
 
 def _field(data, name: str, parse=lambda value: value):
@@ -84,7 +105,11 @@ def _field(data, name: str, parse=lambda value: value):
 
 @dataclass
 class StateRecord:
-    """Persisted state with its classification and reproducibility metadata."""
+    """Persisted state with its classification and reproducibility metadata.
+
+    The JSON keys of `profile` and `fingerprint` are the fields of PptProfile
+    and InvariantFingerprint, in their declared order.
+    """
 
     matrix: np.ndarray
     profile: PptProfile
@@ -99,23 +124,8 @@ class StateRecord:
     def to_dict(self) -> dict:
         return {
             "matrix": _matrix_to_json(self.matrix),
-            "profile": {
-                "ranks": list(self.profile.ranks),
-                "margins": [float(m) for m in self.profile.margins],
-                "tolerance": float(self.profile.tolerance),
-                "is_ppt": bool(self.profile.is_ppt),
-                "min_eigenvalues": [float(m) for m in self.profile.min_eigenvalues],
-            },
-            "fingerprint": {
-                "i2": float(self.fingerprint.i2),
-                "i41": float(self.fingerprint.i41),
-                "i42": float(self.fingerprint.i42),
-                "i43": float(self.fingerprint.i43),
-                "i44": float(self.fingerprint.i44),
-                "normalized_quartics": [float(q) for q in self.fingerprint.normalized_quartics],
-                "degenerate": bool(self.fingerprint.degenerate),
-                "trace": float(self.fingerprint.trace),
-            },
+            "profile": asdict(self.profile),
+            "fingerprint": asdict(self.fingerprint),
             "extremal": bool(self.extremal),
             "classification": self.classification,
             "provenance": self.provenance,
@@ -128,22 +138,11 @@ class StateRecord:
     def from_dict(cls, data: dict) -> "StateRecord":
         """The record of a to_dict() mapping; raises ValueError naming the
         first field that is missing or malformed."""
-        profile = _field(data, "profile", lambda prof: PptProfile(
-            ranks=tuple(prof["ranks"]),
-            margins=tuple(prof["margins"]),
-            tolerance=prof["tolerance"],
-            is_ppt=prof["is_ppt"],
-            min_eigenvalues=tuple(prof.get("min_eigenvalues", (0.0,) * 4)),
-        ))
-        fprint = _field(data, "fingerprint", lambda fp: InvariantFingerprint(
-            i2=fp["i2"], i41=fp["i41"], i42=fp["i42"], i43=fp["i43"], i44=fp["i44"],
-            normalized_quartics=tuple(fp["normalized_quartics"]),
-            degenerate=fp["degenerate"], trace=fp["trace"],
-        ))
         return cls(
             matrix=_field(data, "matrix", _matrix_from_json),
-            profile=profile,
-            fingerprint=fprint,
+            profile=_field(data, "profile", _profile_from_json),
+            fingerprint=_field(data, "fingerprint",
+                               lambda fp: _dataclass_from_json(InvariantFingerprint, fp)),
             extremal=_field(data, "extremal"),
             classification=_field(data, "classification"),
             provenance=_field(data, "provenance"),
@@ -162,10 +161,11 @@ def annotate_state(state: HermitianOperator, provenance: dict,
 
     An extremal state is decided without the probe: separable exactly when it
     is pure (a pure extremal PPT state is a product, a mixed one is
-    entangled). For a nonextremal state with probe_trials > 0 the
-    separability probe runs: `separable` is True when it certifies a product
-    decomposition and None when it finds none, since a separable state can be
-    a mixture of entangled extremal PPT states.
+    entangled), and typed I or II when its profile is 4444. For a nonextremal
+    state with probe_trials > 0 the separability probe runs: `separable` is
+    True when it certifies a product decomposition and None when it finds
+    none, since a separable state can be a mixture of entangled extremal PPT
+    states.
     """
     state = state.normalized()
     space = face_solution_space(state, tolerances)
@@ -173,8 +173,9 @@ def annotate_state(state: HermitianOperator, provenance: dict,
     profile = space.profile
     fprint = fingerprint(state, tolerances)
     rank4_type = None
-    if profile.is_ppt and profile.ranks == (4, 4, 4, 4):
-        # classify_type's rule: the fingerprint's vanishing-I2 decision
+    if extremal and profile.is_ppt and profile.ranks == (4, 4, 4, 4):
+        # classify_type's rule: the fingerprint's vanishing-I2 decision; a
+        # nonextremal rank-4 PPT state is separable and has no type
         rank4_type = "II" if fprint.degenerate else "I"
     separable: bool | None = None
     if extremal:
@@ -247,11 +248,8 @@ class CensusReport:
     def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["profile", "count", "extremal_count", "square_sum",
-                         "within_bound", "reference_status"])
-        for row in self.rows:
-            writer.writerow([row.profile, row.count, row.extremal_count,
-                             row.square_sum, row.within_bound, row.reference_status])
+        writer.writerow(f.name for f in fields(CensusRow))
+        writer.writerows(astuple(row) for row in self.rows)
         return buffer.getvalue()
 
     def check_bound(self) -> bool:

@@ -185,7 +185,8 @@ class PptProfile:
     margins: tuple[float, float, float, float]
     tolerance: float
     is_ppt: bool
-    min_eigenvalues: tuple[float, float, float, float]
+    # records written before the minima were stored read as zeros
+    min_eigenvalues: tuple[float, float, float, float] = (0.0,) * 4
 
     @property
     def sorted_ranks(self) -> tuple[int, int, int, int]:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from pptatlas import cli
 from pptatlas import qstate as qs
 from pptatlas.config import Tolerances
 from pptatlas.extremal import rank_square_bound
+from pptatlas.invariants import InvariantFingerprint
 from pptatlas import rank4 as r4
 from pptatlas.prodvec import upb_standard, upb_state
 from pptatlas.rank4 import construct_type2
@@ -110,6 +112,25 @@ class TestStateRecord:
             record = cli.annotate_state(state, {})
             assert record.profile == profile(state.normalized())
             assert record.classification["type"] == r4.classify_type(state.normalized())
+
+    def test_nonextremal_rank4444_record_has_no_type(self, rng):
+        """Types I and II are classes of entangled extremal states; a
+        nonextremal rank-4 PPT state is separable and stays untyped."""
+        records = [cli.annotate_state(random_separable(rng, 4), {}),
+                   cli.cmd_search_ranks((4, 4, 4, 4), seed=2, budget=25)]
+        for record in records:
+            assert record.profile.ranks == (4, 4, 4, 4)
+            assert not record.extremal
+            assert record.classification["type"] is None
+
+    def test_json_layout_follows_the_dataclasses(self, rng):
+        data = cli.annotate_state(qs.random_ppt_state(rng), {}).to_dict()
+        assert list(data["profile"]) == [f.name for f in fields(qs.PptProfile)]
+        assert list(data["fingerprint"]) == [f.name for f in fields(InvariantFingerprint)]
+        del data["profile"]["min_eigenvalues"]
+        back = cli.StateRecord.from_dict(data)
+        assert back.profile.min_eigenvalues == (0.0, 0.0, 0.0, 0.0)
+        assert back.profile.ranks == tuple(data["profile"]["ranks"])
 
     def test_reload_reproduces_annotations(self, rng):
         record = cli.annotate_state(random_separable(rng, 3), {"method": "test"})
@@ -293,10 +314,10 @@ class TestMainEntry:
         assert cli.main(["classify", "--in", "/nonexistent/state.json"]) == 3
 
     def test_malformed_record_files_exit_three(self, tmp_path, capsys):
-        """An empty file, a record without a field and a record whose matrix
-        is not a list of [re, im] rows, or has a non-finite entry, are
-        invalid input, for classify and census alike; the error names the
-        field."""
+        """An empty file, a record without a field, a record whose matrix
+        is not an 8x8 list of [re, im] rows, or has a non-finite entry, and a
+        record whose ranks are not four integers in 1..8 are invalid input,
+        for classify and census alike; the error names the field."""
         good = cli.cmd_construct("type2", t=1.0).to_dict()
         no_fingerprint = {key: value for key, value in good.items() if key != "fingerprint"}
         no_ranks = json.loads(json.dumps(good))
@@ -307,7 +328,12 @@ class TestMainEntry:
                  "no_fingerprint": (json.dumps(no_fingerprint), "'fingerprint'"),
                  "no_ranks": (json.dumps(no_ranks), "'profile'"),
                  "scalar_matrix": (json.dumps(dict(good, matrix=5)), "'matrix'"),
-                 "nan_entry": (json.dumps(nan_entry), "'matrix'")}
+                 "nan_entry": (json.dumps(nan_entry), "'matrix'"),
+                 "one_by_one": (json.dumps(dict(good, matrix=[[[1.0, 0.0]]])), "'matrix'")}
+        for name, ranks in (("three_ranks", [4, 4, 4]), ("rank_nine", [4, 4, 4, 9])):
+            bad = json.loads(json.dumps(good))
+            bad["profile"]["ranks"] = ranks
+            cases[name] = (json.dumps(bad), "'profile'")
         for name, (text, named) in cases.items():
             path = tmp_path / f"{name}.jsonl"
             path.write_text(text)
