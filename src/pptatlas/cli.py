@@ -265,6 +265,10 @@ def cmd_search_extremal(seed: int, n_runs: int, out_dir: str | Path | None = Non
                         tolerances: Tolerances = DEFAULT
                         ) -> tuple[list[StateRecord], CensusReport]:
     """Seeded extremal-descent campaign from random PPT starts."""
+    if out_dir is not None:
+        # an --out that cannot be a directory fails before the campaign runs
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for run, child in enumerate(np.random.SeedSequence(seed).spawn(n_runs)):
         rng = np.random.default_rng(child)
@@ -279,8 +283,6 @@ def cmd_search_extremal(seed: int, n_runs: int, out_dir: str | Path | None = Non
         records.append(record)
     report = CensusReport.from_records(records)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "records.jsonl", "w") as handle:
             for record in records:
                 handle.write(record.to_json() + "\n")
@@ -416,18 +418,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env(name: str, default):
+    """The PPTATLAS_<name> override, a string that argparse converts with the
+    flag's type and reports like a bad flag value, or the default."""
     return os.environ.get(f"PPTATLAS_{name}", default)
 
 
+def _count(minimum: int):
+    """An argparse type: integers >= minimum."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-rank", type=float,
-                        default=float(_env("TOL_RANK", DEFAULT.rank_tol)))
-    parser.add_argument("--tol-psd", type=float,
-                        default=float(_env("TOL_PSD", DEFAULT.psd_tol)))
+    parser.add_argument("--tol-rank", type=float, default=_env("TOL_RANK", DEFAULT.rank_tol))
+    parser.add_argument("--tol-psd", type=float, default=_env("TOL_PSD", DEFAULT.psd_tol))
     parser.add_argument("--tol-i2zero", type=float,
-                        default=float(_env("TOL_I2ZERO", DEFAULT.i2_zero_tol)))
+                        default=_env("TOL_I2ZERO", DEFAULT.i2_zero_tol))
     parser.add_argument("--tol-face", type=float,
-                        default=float(_env("TOL_FACE", DEFAULT.face_eig_window)))
+                        default=_env("TOL_FACE", DEFAULT.face_eig_window))
 
 
 def _tolerances(args) -> Tolerances:
@@ -468,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ext = sub.add_parser("search-extremal", parents=[], help="extremal-descent campaign")
-    p_ext.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
-    p_ext.add_argument("--runs", type=int, default=int(_env("RUNS", 20)))
+    p_ext.add_argument("--seed", type=int, default=_env("SEED", 0))
+    p_ext.add_argument("--runs", type=_count(1), default=_env("RUNS", 20))
     p_ext.add_argument("--out", default=_env("OUT", None))
     _add_tolerance_flags(p_ext)
 
@@ -478,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--method", choices=("cg",), default="cg",
                         help="cg: Levenberg-Marquardt refinement of the subspace-block "
                              "residual, restarted")
-    p_rank.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
-    p_rank.add_argument("--budget", type=int, default=int(_env("BUDGET", 20)),
+    p_rank.add_argument("--seed", type=int, default=_env("SEED", 0))
+    p_rank.add_argument("--budget", type=_count(1), default=_env("BUDGET", 20),
                         help="restarts of the block refinement")
     p_rank.add_argument("--out", default=_env("OUT", None))
     _add_tolerance_flags(p_rank)
@@ -490,15 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="three angles for the upb family")
     p_con.add_argument("--t", type=_parse_complex, default=None,
                        help="complex parameter for the type2 family")
-    p_con.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
+    p_con.add_argument("--seed", type=int, default=_env("SEED", 0))
     p_con.add_argument("--out", default=_env("OUT", None))
     _add_tolerance_flags(p_con)
 
     p_cls = sub.add_parser("classify", help="recompute annotations of a stored state")
     p_cls.add_argument("--in", dest="in_path", required=True)
     p_cls.add_argument("--out", default=_env("OUT", None))
-    p_cls.add_argument("--seed", type=int, default=int(_env("SEED", 0)))
-    p_cls.add_argument("--probe-trials", type=int, default=4,
+    p_cls.add_argument("--seed", type=int, default=_env("SEED", 0))
+    p_cls.add_argument("--probe-trials", type=_count(0), default=4,
                        help="decomposition trees the separability probe tries on a "
                             "nonextremal state; 0 skips it")
     _add_tolerance_flags(p_cls)
@@ -553,7 +565,7 @@ def main(argv=None) -> int:
         # a ValueError, but raised by a run on valid input
         sys.stderr.write(f"pptatlas: LinAlgError: {exc}\n")
         return EXIT_SEARCH_FAILED
-    except (ValueError, FileNotFoundError, json.JSONDecodeError, InvalidParameter) as exc:
+    except (ValueError, OSError, InvalidParameter) as exc:
         sys.stderr.write(f"pptatlas: invalid input: {exc}\n")
         return EXIT_INVALID_INPUT
     except PptAtlasError as exc:

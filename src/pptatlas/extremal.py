@@ -24,6 +24,8 @@ from .qstate import (
     PptProfile,
     _as_matrix,
     all_ptransposes,
+    basis_ptransposes,
+    coords_to_mat,
     factor_product_vector,
     hermitian_basis,
     mat_to_coords,
@@ -64,34 +66,30 @@ def face_solution_space(rho, tolerances: Tolerances = DEFAULT) -> FaceSolutionSp
     if not profile.is_ppt:
         raise NotPpt(f"minimum transpose eigenvalue {min(profile.min_eigenvalues):.3e}")
     mat = mat / np.trace(mat).real
-    basis_full = hermitian_basis()
     operators = np.empty((4, 64, 64))
     for i, pt in enumerate(all_ptransposes(mat)):
         w, v = np.linalg.eigh(pt)
         keep = np.abs(w) > tolerances.rank_tol * np.abs(w).max()
         vk = v[:, keep]
         proj = vk @ vk.conj().T
-        mapped = np.einsum("ab,kbc,cd->kad", proj, ptranspose_mat(basis_full, i), proj)
-        operators[i] = np.einsum("lab,kba->lk", basis_full, ptranspose_mat(mapped, i)).real
+        mapped = np.einsum("ab,kbc,cd->kad", proj, basis_ptransposes()[i], proj)
+        operators[i] = np.einsum("lab,kba->lk", hermitian_basis(), ptranspose_mat(mapped, i)).real
     total = operators.sum(axis=0)
     state = HermitianOperator(_as_matrix(rho)).normalized()
     w, v = np.linalg.eigh(0.5 * (total + total.T))
     sel = np.abs(w - 4.0) < tolerances.face_eig_window
     count = int(np.count_nonzero(sel))
-    rho_coords = mat_to_coords(state.mat)
-    trace_vec = np.einsum("kaa->k", basis_full).real
     if count <= 1:
         return FaceSolutionSpace(state, np.zeros((0, DIM, DIM), dtype=complex), 0, profile)
     sols = v[:, sel].T  # (count, 64)
-    sols = sols - np.outer(sols @ trace_vec, rho_coords)
+    sols = sols - np.outer(sols @ mat_to_coords(np.eye(DIM)), mat_to_coords(state.mat))
     u_, s_, vt = np.linalg.svd(sols, full_matrices=False)
     dim = count - 1
     # nonzero singular values of the trace-removal map are >= 1, the removed
     # rho direction sits at roundoff level
     dim = min(dim, int(np.count_nonzero(s_ > 0.5)))
     dirs = vt[:dim]
-    mats = np.einsum("dk,kab->dab", dirs, basis_full)
-    return FaceSolutionSpace(state, mats, dim, profile)
+    return FaceSolutionSpace(state, coords_to_mat(dirs), dim, profile)
 
 
 def is_extremal(rho, tolerances: Tolerances = DEFAULT) -> bool:

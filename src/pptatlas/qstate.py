@@ -272,35 +272,62 @@ def hermitian_basis() -> np.ndarray:
     return basis
 
 
-@lru_cache(maxsize=1)
-def _coordinate_gather() -> tuple[np.ndarray, np.ndarray]:
-    """Indices into the flattened real view of an 8x8 complex matrix, and
-    scales, that read the hermitian_basis() coordinates of a Hermitian one.
+@lru_cache(maxsize=DIM)
+def coordinate_layout(n: int = DIM) -> tuple[np.ndarray, ...]:
+    """The coordinates of n x n Hermitian matrices, in hermitian_basis()'s
+    order when n = 8, as read-only arrays (rows, cols, upper, flat, scale).
 
-    Each basis element B_k is nonzero at one upper-triangle entry (a, b) and
-    its mirror, where it is real or imaginary. For Hermitian M, Tr(B_k M) is
-    B_aa M_aa on the diagonal and 2 Re(B_ab conj(M_ab)) off it: one real
-    number of M times a constant.
+    rows and cols list the upper-triangle entries row by row. Each diagonal
+    entry gives one coordinate, its real part; each entry right of it gives
+    two, its real and then its imaginary part. For each coordinate, upper
+    and flat index the real view of the upper entries and of the whole
+    matrix, and scale is 1 on the diagonal and 2 (1/sqrt2) off it: for
+    Hermitian M, Tr(B_k M) = 2 Re(B_ab conj(M_ab)) off the diagonal.
     """
-    index, scale = [], []
-    for element in hermitian_basis():
-        a, b = np.argwhere(np.triu(element))[0]
-        entry = element[a, b]
-        imag = entry.real == 0
-        index.append(2 * (DIM * a + b) + int(imag))
-        scale.append((1.0 if a == b else 2.0) * (entry.imag if imag else entry.real))
-    index, scale = np.array(index), np.array(scale)
-    index.flags.writeable = scale.flags.writeable = False
-    return index, scale
+    rows, cols = np.triu_indices(n)
+    diagonal = rows == cols
+    entry = np.repeat(np.arange(rows.size), np.where(diagonal, 1, 2))
+    # 1 on the second coordinate of an entry, its imaginary part
+    part = np.concatenate([[0], entry[1:] == entry[:-1]]).astype(np.intp)
+    upper = 2 * entry + part
+    flat = 2 * (n * rows[entry] + cols[entry]) + part
+    scale = np.where(diagonal[entry], 1.0, 2.0 * (1.0 / np.sqrt(2)))
+    layout = rows, cols, upper, flat, scale
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def mat_to_coords(mats: np.ndarray) -> np.ndarray:
-    """hermitian_basis() coordinates Tr(B_k M) of Hermitian matrices,
-    (..., 8, 8) -> (..., 64), read by index from their upper triangles."""
-    index, scale = _coordinate_gather()
+    """Coordinates Tr(B_k M) of n x n Hermitian matrices, (..., n, n) ->
+    (..., n^2), read by index from their upper triangles; hermitian_basis()
+    coordinates when n = 8."""
     mats = np.asarray(mats)
+    n = mats.shape[-1]
+    *_, flat_index, scale = coordinate_layout(n)
     flat = np.ascontiguousarray(mats, dtype=complex).view(float)
-    return flat.reshape(*mats.shape[:-2], 2 * DIM * DIM)[..., index] * scale
+    return flat.reshape(*mats.shape[:-2], 2 * n * n)[..., flat_index] * scale
+
+
+def upper_to_coords(entries: np.ndarray) -> np.ndarray:
+    """hermitian_basis() coordinates (..., 64) of Hermitian matrices given by
+    their upper-triangle entries (..., 36), in coordinate_layout()'s order."""
+    *_, upper, _, scale = coordinate_layout()
+    return np.ascontiguousarray(entries).view(float)[..., upper] * scale
+
+
+def coords_to_mat(x: np.ndarray) -> np.ndarray:
+    """The matrices sum_k x_k B_k over hermitian_basis(), (..., 64) -> (..., 8, 8)."""
+    return np.einsum("...j,jab->...ab", np.asarray(x, dtype=float), hermitian_basis())
+
+
+@lru_cache(maxsize=1)
+def basis_ptransposes() -> np.ndarray:
+    """hermitian_basis() and its partial transposes on subsystems 1, 2 and 3,
+    (4, 64, 8, 8), read-only."""
+    pts = np.stack([ptranspose_mat(hermitian_basis(), i) for i in range(4)])
+    pts.flags.writeable = False
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +413,9 @@ __all__ = [
     "HermitianOperator",
     "PptProfile",
     "all_ptransposes",
+    "basis_ptransposes",
+    "coordinate_layout",
+    "coords_to_mat",
     "factor_product_vector",
     "hermitian_basis",
     "invariant_tensor_E",
@@ -403,4 +433,5 @@ __all__ = [
     "rank1_split",
     "split_product",
     "transpose_spectra",
+    "upper_to_coords",
 ]

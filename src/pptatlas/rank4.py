@@ -41,15 +41,17 @@ from .qstate import (
     PAULI,
     HermitianOperator,
     _as_matrix,
-    _coordinate_gather,
+    coordinate_layout,
+    coords_to_mat,
     invariant_tensor_E,
     kron3,
     mat_to_coords,
     ppt_profile,
     ptranspose_mat,
     split_product,
+    upper_to_coords,
 )
-from .ranksearch import RankTargetProblem, _block_residual_jacobian, refine_block, rho_state
+from .ranksearch import RankTargetProblem, _block_residual_jacobian, refine_block
 
 # the symmetric bilinear form u^T (eps x eps) v on C^4
 _EE = np.kron(EPSILON, EPSILON)
@@ -59,26 +61,11 @@ def _form(u: np.ndarray) -> complex:
     return u @ _EE @ u
 
 
-def _upper_entries() -> tuple[np.ndarray, ...]:
-    """Row and column (36,) of the upper-triangle entries that mat_to_coords
-    reads, and the index (64,) of each coordinate in the flat real view of
-    those entries, with its scale."""
-    index, scale = _coordinate_gather()
-    entry, part = np.divmod(index, 2)
-    upper, position = np.unique(entry, return_inverse=True)
-    return *np.divmod(upper, DIM), 2 * position + part, scale
-
-
-_UPPER_ROW, _UPPER_COL, _UPPER_COORD, _UPPER_SCALE = _upper_entries()
+# the upper-triangle entries that upper_to_coords reads
+_UPPER_ROW, _UPPER_COL = coordinate_layout()[:2]
 # the upper entries, then their mirrors
 _MIRRORED_ROW = np.concatenate([_UPPER_ROW, _UPPER_COL])
 _MIRRORED_COL = np.concatenate([_UPPER_COL, _UPPER_ROW])
-
-
-def _upper_to_coords(entries: np.ndarray) -> np.ndarray:
-    """hermitian_basis() coordinates (..., 64) of Hermitian matrices given by
-    their entries (..., 36) at _UPPER_ROW, _UPPER_COL."""
-    return np.ascontiguousarray(entries).view(float)[..., _UPPER_COORD] * _UPPER_SCALE
 
 
 def _weighted_projector_sum(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -90,7 +77,7 @@ def _projector_coords(cols: np.ndarray) -> np.ndarray:
     """Hermitian-basis coordinates of the projector onto each column of a
     stack of 8xc frames, shape (..., 8, c) -> (..., c, 64)."""
     v = np.swapaxes(cols, -1, -2)
-    return _upper_to_coords(v[..., _UPPER_ROW] * v.conj()[..., _UPPER_COL])
+    return upper_to_coords(v[..., _UPPER_ROW] * v.conj()[..., _UPPER_COL])
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +722,7 @@ def _jacobian(point: _Point) -> tuple[np.ndarray, np.ndarray]:
              @ mirrored.reshape(3, 4, -1)).reshape(3, 2, 4, 4, 72)  # (3, s, c, b, 72)
     upper = np.swapaxes(upper[..., :36] + upper[..., 36:].conj(), 2, 3)
     projs = _projector_coords(vecs)                                   # (3, 4, 64)
-    moved = (_upper_to_coords(upper).reshape(3, 32, 64)
+    moved = (upper_to_coords(upper).reshape(3, 32, 64)
              - 2.0 * (diag[:, None, None, None] * rho).reshape(3, 32, 4) @ projs)
     dm = np.concatenate([moved[0], (weights * (1.0 - (logw / _WEIGHT_CAP) ** 2))[:, None]
                          * projs[0]])
@@ -973,7 +960,7 @@ def construct_biseparable(rng: np.random.Generator) -> BiseparableConstruction:
         if f_pin > 1e-20:
             rejections["pin_failed"] += 1
             continue
-        state = rho_state(x)
+        state = HermitianOperator(coords_to_mat(x))
         if state.trace() < 0:
             state = HermitianOperator(-state.mat)
         state = state.normalized()

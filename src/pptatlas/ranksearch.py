@@ -21,29 +21,17 @@ from .qstate import (
     DIM,
     HermitianOperator,
     PptProfile,
-    hermitian_basis,
+    basis_ptransposes,
+    coords_to_mat,
+    mat_to_coords,
     ppt_profile,
     ptranspose_mat,
     random_ppt_state,
     transpose_spectra,
 )
 
-# the search space, hermitian_basis(), and its partial transposes (4, 64, 8, 8),
-# shared by every problem and read-only
-_BASIS = hermitian_basis()
-_BASIS_PT = np.stack([ptranspose_mat(_BASIS, i) for i in range(4)])
-_BASIS_PT.flags.writeable = False
-# the search coordinates x, one per basis element
-N_PARAMETERS = _BASIS.shape[0]
-
-
-def rho_mat(x: np.ndarray) -> np.ndarray:
-    """The matrix sum_j x_j M_j over the Hermitian basis."""
-    return np.einsum("j,jab->ab", np.asarray(x, dtype=float), _BASIS)
-
-
-def rho_state(x: np.ndarray) -> HermitianOperator:
-    return HermitianOperator(rho_mat(x))
+# the search coordinates x, one per hermitian_basis() element
+N_PARAMETERS = DIM * DIM
 
 
 @dataclass
@@ -61,7 +49,7 @@ class RankTargetProblem:
 
 def eigen_residual(problem: RankTargetProblem, x: np.ndarray) -> np.ndarray:
     """The 8-m_i lowest eigenvalues of each partial transpose, concatenated."""
-    spectra = transpose_spectra(rho_mat(x))
+    spectra = transpose_spectra(coords_to_mat(x))
     return np.concatenate([evs[:DIM - m] for evs, m in zip(spectra, problem.targets)])
 
 
@@ -85,9 +73,8 @@ def _random_start(rng: np.random.Generator) -> np.ndarray:
 
     Starting PPT keeps the trivial full-rank targets feasible.
     """
-    m = random_ppt_state(rng).mat
-    x = np.einsum("kab,ba->k", _BASIS, m).real
-    return x / np.linalg.norm(rho_mat(x))
+    x = mat_to_coords(random_ppt_state(rng).mat)
+    return x / np.linalg.norm(coords_to_mat(x))
 
 
 def _validate(problem: RankTargetProblem, x: np.ndarray, tolerances: Tolerances):
@@ -96,7 +83,7 @@ def _validate(problem: RankTargetProblem, x: np.ndarray, tolerances: Tolerances)
     A point whose rho is itself indefinite, or traceless, fails like any other
     non-PPT point.
     """
-    state = rho_state(x)
+    state = HermitianOperator(coords_to_mat(x))
     if state.trace() < 0:
         state = HermitianOperator(-state.mat)
     try:
@@ -112,23 +99,6 @@ def _validate(problem: RankTargetProblem, x: np.ndarray, tolerances: Tolerances)
     return state, profile
 
 
-def _block_gather(z: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into the flat real view of a z x z complex block, and scales,
-    that list its Hermitian coordinates row by row: the diagonal entry, then
-    sqrt2 Re and sqrt2 Im of each entry right of it."""
-    index, scale = [], []
-    for k in range(z):
-        index.append(2 * (z * k + k))
-        scale.append(1.0)
-        for l in range(k + 1, z):
-            index += [2 * (z * k + l), 2 * (z * k + l) + 1]
-            scale += [np.sqrt(2.0)] * 2
-    return np.array(index, dtype=np.intp), np.array(scale)
-
-
-_BLOCK_GATHER = {z: _block_gather(z) for z in range(1, DIM)}
-
-
 def _block_residual_jacobian(problem: RankTargetProblem, x: np.ndarray
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Residual and Jacobian of the zero-target subspace blocks.
@@ -140,21 +110,19 @@ def _block_residual_jacobian(problem: RankTargetProblem, x: np.ndarray
     eigenvalues reach zero together; the block vanishes exactly when the
     lowest eigenvalues do.
     """
-    mat = rho_mat(x)
+    mat = coords_to_mat(x)
     res, rows = [], []
     for i in range(4):
         z = DIM - problem.targets[i]
         if z == 0:
             continue
-        index, scale = _BLOCK_GATHER[z]
         pt = ptranspose_mat(mat, i)
         _, v = np.linalg.eigh(pt)
         v0 = v[:, :z]
         block = v0.conj().T @ pt @ v0
-        dblock = np.einsum("ak,jab,bl->jkl", v0.conj(), _BASIS_PT[i], v0)
-        res.append(np.ascontiguousarray(block).view(float).ravel()[index] * scale)
-        flat = np.ascontiguousarray(dblock).view(float).reshape(len(dblock), -1)
-        rows.append((flat[:, index] * scale).T)
+        dblock = np.einsum("ak,jab,bl->jkl", v0.conj(), basis_ptransposes()[i], v0)
+        res.append(mat_to_coords(block))
+        rows.append(mat_to_coords(dblock).T)
     if not res:
         return np.zeros(0), np.zeros((0, N_PARAMETERS))
     return np.concatenate(res), np.concatenate(rows)
@@ -174,7 +142,7 @@ def refine_block(problem: RankTargetProblem, x0: np.ndarray,
     Progress is measured by the eigenvalue square sum f, the objective, not
     by the block residual. Returns (x, f, evaluations).
     """
-    x = x0 / np.linalg.norm(rho_mat(x0))
+    x = x0 / np.linalg.norm(coords_to_mat(x0))
     f = objective(problem, x)
     evals = 1
     lam = 1e-8
@@ -190,7 +158,7 @@ def refine_block(problem: RankTargetProblem, x0: np.ndarray,
         for _ in range(30):
             dx = np.linalg.solve(a_mat + lam * np.eye(a_mat.shape[0]), rhs)
             xt = x + dx
-            nrm = np.linalg.norm(rho_mat(xt))
+            nrm = np.linalg.norm(coords_to_mat(xt))
             if nrm < 1e-300:
                 lam *= 7.0
                 continue
@@ -245,7 +213,5 @@ __all__ = [
     "eigen_residual",
     "objective",
     "refine_block",
-    "rho_mat",
-    "rho_state",
     "solve_targets",
 ]

@@ -6,6 +6,7 @@ from pptatlas.errors import DegenerateDraw
 from pptatlas.qstate import (
     DIM,
     HermitianOperator,
+    coords_to_mat,
     factor_product_vector,
     kron3,
     ppt_profile,
@@ -58,10 +59,8 @@ def lowest_eigenvalue_gap(problem, x) -> float:
     """Smallest gap among the 9-m_i lowest eigenvalues of each transpose of
     rho(x): the zeroed ones and the first kept one. Perturbation theory, and
     so block_jacobian_diagonal, is reliable only where it is not tiny."""
-    from pptatlas.ranksearch import rho_mat
-
     gaps = [np.diff(evs[:DIM - m + 1]).min()
-            for evs, m in zip(transpose_spectra(rho_mat(x)), problem.targets)
+            for evs, m in zip(transpose_spectra(coords_to_mat(x)), problem.targets)
             if m < DIM]
     return float(min(gaps, default=np.inf))
 

@@ -33,6 +33,16 @@ def type2_pushed_below_zero() -> qs.HermitianOperator:
     return qs.HermitianOperator(qs.ptranspose_mat((v * w) @ v.conj().T, 1)).normalized()
 
 
+def _run_module(argv, overrides=None):
+    """`python -m pptatlas *argv` with this package on the path and the
+    environment variables in overrides set."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **(overrides or {}),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "pptatlas", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestStateRecord:
     def test_round_trip_bit_exact(self, rng):
         state = qs.random_ppt_state(rng)
@@ -366,13 +376,39 @@ class TestMainEntry:
 
     def test_package_runs_as_a_module(self):
         """`python -m pptatlas --help` prints the help and nothing on stderr."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run([sys.executable, "-m", "pptatlas", "--help"],
-                                capture_output=True, text=True, env=env, timeout=120)
+        result = _run_module(["--help"])
         assert result.returncode == 0
         assert result.stderr == ""
         assert "search-extremal" in result.stdout
+
+    @pytest.mark.parametrize("overrides,argv", [
+        ({"PPTATLAS_RUNS": "abc"}, ["search-extremal"]),
+        ({"PPTATLAS_TOL_RANK": "abc"}, ["construct", "upb"]),
+        ({}, ["search-extremal", "--runs", "-2"]),
+        ({}, ["search-ranks", "5555", "--budget", "0"]),
+        ({}, ["classify", "--in", "{record}", "--probe-trials", "-1"]),
+        ({}, ["construct", "upb", "--out", "{dir}"]),
+        ({}, ["search-extremal", "--runs", "1", "--out", "{file}"]),
+    ])
+    def test_bad_values_exit_three(self, tmp_path, overrides, argv):
+        """Malformed overrides, bad counts and an --out that cannot be
+        written are invalid input: exit 3 with a message, not a traceback."""
+        (tmp_path / "file").write_text("")
+        (tmp_path / "record.json").write_text(cli.cmd_construct("type2", t=1.0).to_json())
+        argv = [arg.format(dir=tmp_path, file=tmp_path / "file", record=tmp_path / "record.json")
+                for arg in argv]
+        result = _run_module(argv, overrides)
+        assert result.returncode == 3, result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_unwritable_out_fails_before_the_campaign(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "descend_to_extremal",
+                            lambda *args: pytest.fail("the campaign ran"))
+        (tmp_path / "file").write_text("")
+        assert cli.main(["search-extremal", "--runs", "1", "--out", str(tmp_path / "file")]) == 3
+
+    def test_malformed_override_of_another_command_is_not_read(self):
+        assert _run_module(["construct", "upb"], {"PPTATLAS_RUNS": "abc"}).returncode == 0
 
     def test_runtime_never_imports_scipy(self, tmp_path):
         """A descent campaign, a type II construction and the biseparable

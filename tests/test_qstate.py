@@ -303,9 +303,15 @@ class TestHermitianBases:
 
     def test_coordinate_round_trip(self, rng):
         mat = random_hermitian(rng).mat
-        coords = qs.mat_to_coords(mat)
-        back = np.einsum("k,kab->ab", coords, qs.hermitian_basis())
+        back = qs.coords_to_mat(qs.mat_to_coords(mat))
         assert np.abs(back - mat).max() < 1e-13
+
+    def test_basis_ptransposes(self):
+        pts = qs.basis_ptransposes()
+        assert not pts.flags.writeable
+        assert pts.shape == (4, 64, 8, 8)
+        for i in range(4):
+            assert pts[i].tobytes() == qs.ptranspose_mat(qs.hermitian_basis(), i).tobytes()
 
 
 _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -313,17 +319,39 @@ _finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _hermitian_matrices(draw):
-    parts = draw(st.lists(_finite, min_size=128, max_size=128))
-    raw = np.array(parts[:64]).reshape(8, 8) + 1j * np.array(parts[64:]).reshape(8, 8)
+    """Hermitian n x n matrices, n = 1 ... 8."""
+    n = draw(st.integers(1, 8))
+    parts = draw(st.lists(_finite, min_size=2 * n * n, max_size=2 * n * n))
+    raw = np.array(parts[:n * n]).reshape(n, n) + 1j * np.array(parts[n * n:]).reshape(n, n)
     return raw + raw.conj().T
+
+
+def _loop_basis(n):
+    """The n x n analogue of hermitian_basis(), built by a loop."""
+    val = 1.0 / np.sqrt(2)
+    elements = []
+    for a in range(n):
+        diag = np.zeros((n, n), dtype=complex)
+        diag[a, a] = 1.0
+        elements.append(diag)
+        for b in range(a + 1, n):
+            b_re = np.zeros((n, n), dtype=complex)
+            b_re[a, b] = b_re[b, a] = val
+            b_im = np.zeros((n, n), dtype=complex)
+            b_im[a, b], b_im[b, a] = 1j * val, -1j * val
+            elements += [b_re, b_im]
+    return np.array(elements)
 
 
 def _einsum_coords(mat):
     """Tr(B_k M) summed over every entry of every basis element."""
-    return np.einsum("kab,ba->k", qs.hermitian_basis(), mat).real
+    return np.einsum("kab,ba->k", _loop_basis(len(mat)), mat).real
 
 
 class TestHermitianCoords:
+    def test_loop_basis_is_the_hermitian_basis(self):
+        assert np.array_equal(_loop_basis(8), qs.hermitian_basis())
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(_hermitian_matrices())
     def test_gather_equals_einsum_reference(self, mat):

@@ -70,11 +70,11 @@ class TestJacobian:
 def _loop_block_residual_jacobian(problem, x):
     """Reference for the block residual and Jacobian: each block's entries
     and their derivatives listed by a loop, (k, k), then sqrt2 Re and sqrt2
-    Im of (k, l) for l > k."""
+    Im of (k, l) for l > k, sqrt2 written as the basis scale 2 (1/sqrt2)."""
     basis = qs.hermitian_basis()
-    mat = rs.rho_mat(x)
+    mat = qs.coords_to_mat(x)
     res, rows = [], []
-    sq2 = np.sqrt(2.0)
+    sq2 = 2.0 * (1.0 / np.sqrt(2))
     for i, m in enumerate(problem.targets):
         z = 8 - m
         if z == 0:
